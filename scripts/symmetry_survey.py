@@ -20,6 +20,7 @@ _SRC = Path(__file__).resolve().parents[1] / "src"
 if _SRC.is_dir() and str(_SRC) not in sys.path:
     sys.path.insert(0, str(_SRC))
 
+from metricinv.cli import _parse_box
 from metricinv.metriclang import parse_metric
 from metricinv.symmetry import homogeneity
 
@@ -34,15 +35,6 @@ BOXES = {
     "schwarzschild": "t=0:1, r=3:6, th=0.6:2.4, ph=0:3",
     "ppwave": "u=-0.5:0.5, v=-1:1, x=0.5:1.5, y=0.2:1.2",
 }
-
-
-def parse_box(text: str, coords) -> list[tuple[float, float]]:
-    ranges = {}
-    for item in text.split(","):
-        name, _, span = item.strip().partition("=")
-        lo, _, hi = span.partition(":")
-        ranges[name.strip()] = (float(lo), float(hi))
-    return [ranges[c] for c in coords]
 
 
 def main(argv=None) -> int:
@@ -65,7 +57,7 @@ def main(argv=None) -> int:
             print(f"{name:<16} (no sampling box configured; skipped)")
             continue
         spec = parse_metric(path.read_text())
-        box = parse_box(BOXES[name], spec.coords)
+        box = _parse_box(BOXES[name], spec)
         report = homogeneity(
             spec, box,
             n_samples=args.samples, seed=args.seed, max_order=args.max_order,

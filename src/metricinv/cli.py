@@ -36,7 +36,7 @@ from .errors import (
     SingularMetricError,
     UnsupportedDimensionError,
 )
-from .invariants import invariant_vector
+from .invariants import DEFAULT_FRAME_RTOL, invariant_vector
 from .metriclang import MetricSpec, parse_metric
 from .symmetry import homogeneity
 
@@ -371,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--max-order", type=int, default=2, dest="max_order")
-    p.add_argument("--rel-tol", type=float, default=1e-8, dest="rel_tol")
+    p.add_argument("--rel-tol", type=float, default=DEFAULT_FRAME_RTOL, dest="rel_tol")
     p.set_defaults(func=cmd_homogeneity)
 
     p = sub.add_parser("count", parents=[common], help="invariant counts s_k and delta_k")

@@ -10,6 +10,11 @@ Conventions (fixed so the unit sphere has positive scalar curvature):
                  - g_jk Ric_il) / (n-2)
                  + scal (g_ik g_jl - g_il g_jk) / ((n-1)(n-2))
 
+Each tensor is a `TensorComponents`: one float array whose last axis holds
+the jet coefficients of every component. All products of components go
+through the batched Cauchy product `jets.cauchy_product`, and contractions
+through `jets.contract`, one index at a time.
+
 Every derivative consumed drops the available jet order by one; each
 operation below states its consumption and rejects inputs that are too
 shallow. Signature plays no role: the inverse metric comes from the full
@@ -18,7 +23,6 @@ jet-level matrix inverse and no positivity is assumed.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,11 +31,12 @@ import numpy as np
 from .errors import (
     DomainError,
     InsufficientOrderError,
+    OrderExceededError,
     ShapeMismatchError,
     SingularMetricError,
     UnsupportedDimensionError,
 )
-from .jets import Jet
+from .jets import Jet, _context, _JetContext, apply_fn, cauchy_product, contract, partials
 from .metriclang import MetricSpec, eval_expr
 
 SINGULAR_DET_RTOL = 1e-10
@@ -39,91 +44,85 @@ SINGULAR_DET_RTOL = 1e-10
 
 @dataclass(frozen=True)
 class TensorComponents:
-    """Dense multi-indexed array of jets with per-slot variance.
+    """Jets of every component of a tensor, stored as one float array.
 
     `variance` holds one of 'u' (contravariant) / 'd' (covariant) per
-    slot; `entries` is an object ndarray of Jets of shape (n,) * rank, all
-    sharing n_vars and order.
+    slot. `coeffs` has shape (n,) * rank + (S,): the last axis holds the S
+    Taylor coefficients of each component's order-`order` jet in the n
+    coordinates, in the layout of `jets.Jet`.
     """
 
     variance: tuple[str, ...]
     n: int
-    entries: np.ndarray
+    order: int
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.entries.shape != (self.n,) * self.rank:
+        shape = (self.n,) * self.rank + (self.ctx.size,)
+        if self.coeffs.shape != shape:
             raise ShapeMismatchError(
-                f"entries shape {self.entries.shape} does not match "
-                f"rank {self.rank}, n {self.n}"
+                f"coefficient shape {self.coeffs.shape} does not match "
+                f"rank {self.rank}, n {self.n}, order {self.order}"
             )
+
+    @classmethod
+    def from_jets(cls, variance: tuple[str, str], rows) -> "TensorComponents":
+        """A rank-2 tensor from an n x n nested sequence of same-order jets."""
+        first = rows[0][0]
+        coeffs = np.array([[jet.c for jet in row] for row in rows])
+        return cls(variance, len(rows), first.order, coeffs)
 
     @property
     def rank(self) -> int:
         return len(self.variance)
 
     @property
-    def order(self) -> int:
-        return self.entries.flat[0].order
+    def ctx(self) -> _JetContext:
+        return _context(self.n, self.order)
 
-    def __getitem__(self, idx):
-        return self.entries[idx]
+    def __getitem__(self, idx) -> Jet:
+        return Jet(self.n, self.order, self.coeffs[idx])
 
     def values(self) -> np.ndarray:
         """Constant terms as a plain float array."""
-        out = np.empty((self.n,) * self.rank)
-        for idx in np.ndindex(*out.shape):
-            out[idx] = self.entries[idx].value
-        return out
+        return self.coeffs[..., 0].copy()
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values()))) if self.rank else 0.0
 
     def truncate(self, order: int) -> "TensorComponents":
+        """Restrict every component to a lower order (graded prefix)."""
         if order == self.order:
             return self
-        out = np.empty_like(self.entries)
-        for idx in np.ndindex(*self.entries.shape):
-            out[idx] = self.entries[idx].truncate(order)
-        return TensorComponents(self.variance, self.n, out)
+        if order > self.order:
+            raise OrderExceededError(
+                f"cannot extend order {self.order} jets to order {order}"
+            )
+        size = _context(self.n, order).size
+        return TensorComponents(self.variance, self.n, order, self.coeffs[..., :size])
 
 
-def _tensor(variance: tuple[str, ...], n: int, fill=None) -> np.ndarray:
-    arr = np.empty((n,) * len(variance), dtype=object)
-    if fill is not None:
-        for idx in np.ndindex(*arr.shape):
-            arr[idx] = fill
-    return arr
+def _jet_identity(m: int, ctx: _JetContext) -> np.ndarray:
+    """The m x m identity matrix as constant jets, shape (m, m, S)."""
+    eye = np.zeros((m, m, ctx.size))
+    eye[np.arange(m), np.arange(m), 0] = 1.0
+    return eye
 
 
-def _jet_matrix_inverse(mat: list[list[Jet]]) -> list[list[Jet]]:
-    """Gauss-Jordan inverse over the jet ring, pivoting on constant terms."""
-    n = len(mat)
-    a = [row[:] for row in mat]
-    first = a[0][0]
-    ident = [
-        [Jet.constant(1.0 if i == j else 0.0, first.n_vars, first.order)
-         for j in range(n)]
-        for i in range(n)
-    ]
+def _jet_matrix_inverse(mat: np.ndarray, ctx: _JetContext) -> np.ndarray:
+    """Gauss-Jordan inverse of an (n, n, S) jet matrix, pivoting on constant terms."""
+    n = mat.shape[0]
+    aug = np.concatenate([mat, _jet_identity(n, ctx)], axis=1)
     for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(a[r][col].value))
-        if a[pivot_row][col].value == 0.0:
+        pivot_row = col + int(np.argmax(np.abs(aug[col:, col, 0])))
+        if aug[pivot_row, col, 0] == 0.0:
             raise SingularMetricError("jet matrix is singular at the base point")
-        if pivot_row != col:
-            a[col], a[pivot_row] = a[pivot_row], a[col]
-            ident[col], ident[pivot_row] = ident[pivot_row], ident[col]
-        inv_pivot = 1.0 / a[col][col]
-        a[col] = [x * inv_pivot for x in a[col]]
-        ident[col] = [x * inv_pivot for x in ident[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = a[row][col]
-            if np.all(factor.c == 0.0):
-                continue
-            a[row] = [x - factor * y for x, y in zip(a[row], a[col])]
-            ident[row] = [x - factor * y for x, y in zip(ident[row], ident[col])]
-    return ident
+        aug[[col, pivot_row]] = aug[[pivot_row, col]]
+        inv_pivot = apply_fn("recip", Jet(ctx.n_vars, ctx.order, aug[col, col]))
+        aug[col] = cauchy_product(aug[col], inv_pivot.c, ctx)
+        others = [row for row in range(n) if row != col]
+        aug[others] -= cauchy_product(aug[others, col, None], aug[col], ctx)
+    return aug[:, n:]
 
 
 def metric_at(
@@ -133,58 +132,42 @@ def metric_at(
     n = spec.dim
     if len(point) != n:
         raise ShapeMismatchError(f"point has {len(point)} entries, metric dim {n}")
-    entries = _tensor(("d", "d"), n)
+    rows = [[None] * n for _ in range(n)]
     for i in range(n):
         for j in range(i, n):
-            jet = eval_expr(spec.components[i][j], point, order)
-            entries[i, j] = jet
-            entries[j, i] = jet
-    g = TensorComponents(("d", "d"), n, entries)
+            rows[i][j] = rows[j][i] = eval_expr(spec.components[i][j], point, order)
+    g = TensorComponents.from_jets(("d", "d"), rows)
 
     const = g.values()
     if not np.all(np.isfinite(const)):
         raise DomainError(f"metric component not finite at point {tuple(point)}")
     scale = max(float(np.max(np.abs(const))), 1e-300)
     det = float(np.linalg.det(const))
-    if abs(det) < SINGULAR_DET_RTOL * scale**n:
+    try:
+        threshold = SINGULAR_DET_RTOL * scale**n
+    except OverflowError:
+        raise DomainError(
+            f"metric components of size {scale:.3e} leave the floating-point "
+            f"range at point {tuple(point)}"
+        ) from None
+    if abs(det) < threshold:
         raise SingularMetricError(
             f"|det g| = {abs(det):.3e} below threshold at point {tuple(point)}"
         )
-
-    inv_rows = _jet_matrix_inverse([[entries[i, j] for j in range(n)] for i in range(n)])
-    inv = _tensor(("u", "u"), n)
-    for i in range(n):
-        for j in range(n):
-            inv[i, j] = inv_rows[i][j]
-    return g, TensorComponents(("u", "u"), n, inv)
+    inv = _jet_matrix_inverse(g.coeffs, g.ctx)
+    return g, TensorComponents(("u", "u"), n, order, inv)
 
 
 def christoffel(g: TensorComponents, g_inv: TensorComponents) -> TensorComponents:
     """Gamma^k_ij; consumes one derivative order."""
     if g.order < 1:
         raise InsufficientOrderError("Christoffel symbols need metric jets of order >= 1")
-    n = g.n
     target = g.order - 1
     ginv_t = g_inv.truncate(target)
-    dg = np.empty((n, n, n), dtype=object)  # dg[l][i][j] = d_l g_ij
-    for l in range(n):
-        for i in range(n):
-            for j in range(i, n):
-                d = g[i, j].derivative(l)
-                dg[l, i, j] = d
-                dg[l, j, i] = d
-    out = _tensor(("u", "d", "d"), n)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(n):
-                acc = None
-                for l in range(n):
-                    term = ginv_t[k, l] * (dg[i, l, j] + dg[j, l, i] - dg[l, i, j])
-                    acc = term if acc is None else acc + term
-                half = acc * 0.5
-                out[k, i, j] = half
-                out[k, j, i] = half
-    return TensorComponents(("u", "d", "d"), n, out)
+    dg = partials(g.coeffs, g.ctx)  # dg[l, i, j] = d_l g_ij
+    lowered = dg.transpose(1, 0, 2, 3) + dg.transpose(1, 2, 0, 3) - dg  # [l, i, j]
+    gamma = contract(ginv_t.coeffs, lowered, ginv_t.ctx) * 0.5
+    return TensorComponents(("u", "d", "d"), g.n, target, gamma)
 
 
 def riemann(
@@ -196,44 +179,20 @@ def riemann(
     n = gamma.n
     target = gamma.order - 1
     gamma_t = gamma.truncate(target)
-    dgamma = np.empty((n, n, n, n), dtype=object)  # dgamma[m][i][j][k] = d_m Gamma^i_jk
+    ctx = gamma_t.ctx
+    dgamma = partials(gamma.coeffs, gamma.ctx)  # dgamma[m, i, j, k] = d_m Gamma^i_jk
+    # mixed[i, j, k, l] starts at d_k Gamma^i_lj - d_l Gamma^i_kj; the
+    # quadratic terms are added one m at a time
+    mixed = dgamma.transpose(1, 3, 0, 2, 4) - dgamma.transpose(1, 3, 2, 0, 4)
+    gam = gamma_t.coeffs
     for m in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(j, n):
-                    d = gamma[i, j, k].derivative(m)
-                    dgamma[m, i, j, k] = d
-                    dgamma[m, i, k, j] = d
-    mixed = _tensor(("u", "d", "d", "d"), n)
-    zero = Jet.zero(gamma.entries.flat[0].n_vars, target)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                mixed[i, j, k, k] = zero
-            for k in range(n):
-                for l in range(k + 1, n):
-                    acc = dgamma[k, i, l, j] - dgamma[l, i, k, j]
-                    for m in range(n):
-                        acc = acc + (
-                            gamma_t[i, k, m] * gamma_t[m, l, j]
-                            - gamma_t[i, l, m] * gamma_t[m, k, j]
-                        )
-                    mixed[i, j, k, l] = acc
-                    mixed[i, j, l, k] = -acc
-    g_t = g.truncate(target)
-    lower = _tensor(("d", "d", "d", "d"), n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    acc = None
-                    for m in range(n):
-                        term = g_t[i, m] * mixed[m, j, k, l]
-                        acc = term if acc is None else acc + term
-                    lower[i, j, k, l] = acc
+        quad = cauchy_product(gam[:, :, m, None, None], gam[None, None, m], ctx)  # [i, k, l, j]
+        quad = quad.transpose(0, 3, 1, 2, 4)  # Gamma^i_km Gamma^m_lj at [i, j, k, l]
+        mixed = mixed + (quad - quad.transpose(0, 1, 3, 2, 4))
+    lower = contract(g.truncate(target).coeffs, mixed, ctx)
     return (
-        TensorComponents(("d", "d", "d", "d"), n, lower),
-        TensorComponents(("u", "d", "d", "d"), n, mixed),
+        TensorComponents(("d", "d", "d", "d"), n, target, lower),
+        TensorComponents(("u", "d", "d", "d"), n, target, mixed),
     )
 
 
@@ -243,38 +202,20 @@ def ricci(
     """Ric_jl = R^i_jil and the scalar curvature g^{jl} Ric_jl."""
     n = r_mixed.n
     target = r_mixed.order
-    out = _tensor(("d", "d"), n)
-    for j in range(n):
-        for l in range(j, n):
-            acc = None
-            for i in range(n):
-                term = r_mixed[i, j, i, l]
-                acc = term if acc is None else acc + term
-            out[j, l] = acc
-            out[l, j] = acc
-    ric = TensorComponents(("d", "d"), n, out)
+    diag = np.arange(n)
+    ric = r_mixed.coeffs[diag, :, diag].sum(axis=0)
+    below = np.tril_indices(n, -1)
+    ric[below] = ric.swapaxes(0, 1)[below]  # exactly symmetric
     ginv_t = g_inv.truncate(target)
-    scal = None
-    for j in range(n):
-        for l in range(n):
-            term = ginv_t[j, l] * ric[j, l]
-            scal = term if scal is None else scal + term
-    return ric, scal
+    scal = cauchy_product(ginv_t.coeffs, ric, ginv_t.ctx).sum(axis=(0, 1))
+    return TensorComponents(("d", "d"), n, target, ric), Jet(n, target, scal)
 
 
 def ricci_operator(g_inv: TensorComponents, ric: TensorComponents) -> TensorComponents:
     """The endomorphism A^i_j = g^{ik} Ric_kj of the tangent bundle."""
-    n = ric.n
     ginv_t = g_inv.truncate(ric.order)
-    out = _tensor(("u", "d"), n)
-    for i in range(n):
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = ginv_t[i, k] * ric[k, j]
-                acc = term if acc is None else acc + term
-            out[i, j] = acc
-    return TensorComponents(("u", "d"), n, out)
+    a_op = contract(ginv_t.coeffs, ric.coeffs, ric.ctx)
+    return TensorComponents(("u", "d"), ric.n, ric.order, a_op)
 
 
 def weyl(
@@ -288,29 +229,29 @@ def weyl(
     if n < 3:
         raise UnsupportedDimensionError("the Weyl tensor is undefined for n = 2")
     target = r_lower.order
-    g_t = g.truncate(target)
-    ric_t = ric.truncate(target)
-    scal_t = scal.truncate(target)
+    ctx = r_lower.ctx
+    g_t = g.truncate(target).coeffs
+    ric_t = ric.truncate(target).coeffs
+    scal_t = scal.truncate(target).c
+
+    def kulkarni(a, b):
+        """[i, j, k, l] -> a_ik b_jl, the outer product with slots interleaved."""
+        return cauchy_product(a[:, None, :, None], b[None, :, None, :], ctx)
+
+    def swap_kl(t):
+        return t.transpose(0, 1, 3, 2, 4)
+
+    def swap_ij(t):
+        return t.transpose(1, 0, 2, 3, 4)
+
+    gr = kulkarni(g_t, ric_t)
+    ricci_part = gr - swap_kl(gr) + swap_ij(swap_kl(gr)) - swap_ij(gr)
+    gg = kulkarni(g_t, g_t)
+    scal_part = gg - swap_kl(gg)
     c1 = 1.0 / (n - 2)
     c2 = 1.0 / ((n - 1) * (n - 2))
-    out = _tensor(("d", "d", "d", "d"), n)
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    ricci_part = (
-                        g_t[i, k] * ric_t[j, l]
-                        - g_t[i, l] * ric_t[j, k]
-                        + g_t[j, l] * ric_t[i, k]
-                        - g_t[j, k] * ric_t[i, l]
-                    )
-                    scal_part = g_t[i, k] * g_t[j, l] - g_t[i, l] * g_t[j, k]
-                    out[i, j, k, l] = (
-                        r_lower[i, j, k, l]
-                        - c1 * ricci_part
-                        + c2 * (scal_t * scal_part)
-                    )
-    return TensorComponents(("d", "d", "d", "d"), n, out)
+    out = r_lower.coeffs - c1 * ricci_part + c2 * cauchy_product(scal_t, scal_part, ctx)
+    return TensorComponents(("d", "d", "d", "d"), n, target, out)
 
 
 def covariant_derivative(
@@ -324,7 +265,6 @@ def covariant_derivative(
     """
     if t.order < 1:
         raise InsufficientOrderError("covariant derivative needs jets of order >= 1")
-    n = t.n
     target = t.order - 1
     if gamma.order < target:
         raise InsufficientOrderError(
@@ -332,21 +272,18 @@ def covariant_derivative(
         )
     gamma_t = gamma.truncate(target)
     t_t = t.truncate(target)
-    variance = ("d",) + t.variance
-    out = _tensor(variance, n)
-    for idx in itertools.product(range(n), repeat=t.rank):
-        for m in range(n):
-            acc = t[idx].derivative(m)
-            for p, slot_var in enumerate(t.variance):
-                ip = idx[p]
-                for q in range(n):
-                    swapped = idx[:p] + (q,) + idx[p + 1 :]
-                    if slot_var == "d":
-                        acc = acc - gamma_t[q, m, ip] * t_t[swapped]
-                    else:
-                        acc = acc + gamma_t[ip, m, q] * t_t[swapped]
-            out[(m,) + idx] = acc
-    return TensorComponents(variance, n, out)
+    ctx = t_t.ctx
+    out = partials(t.coeffs, t.ctx)
+    for p, slot_var in enumerate(t.variance):
+        # conn[q, m, i]: the connection coefficient that carries slot value q to i
+        conn = gamma_t.coeffs if slot_var == "d" else gamma_t.coeffs.transpose(2, 1, 0, 3)
+        conn = conn.reshape(conn.shape[:3] + (1,) * (t.rank - 1) + conn.shape[-1:])
+        moved = np.moveaxis(t_t.coeffs, p, 0)  # [q, other slots]
+        for q in range(t.n):
+            term = cauchy_product(conn[q], moved[q], ctx)  # [m, i, other slots]
+            term = np.moveaxis(term, 1, p + 1)
+            out = out - term if slot_var == "d" else out + term
+    return TensorComponents(("d",) + t.variance, t.n, target, out)
 
 
 @dataclass(frozen=True)

@@ -11,59 +11,52 @@ substitute pair {scalar curvature, squared gradient of the scalar
 curvature} is used instead; it feeds the same frame machinery.
 
 All outputs are jets of order 0 or 1: order 1 carries the invariant's
-gradient so the symmetry module can assemble Jacobians.
+gradient so the symmetry module can assemble Jacobians. Tensors, the
+bivector operators and the frame are dense jet-coefficient arrays, and
+every product among them goes through `jets.cauchy_product`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .curvature import CurvaturePoint, TensorComponents, _jet_matrix_inverse, curvature_point
+from .curvature import (
+    CurvaturePoint,
+    TensorComponents,
+    _jet_identity,
+    _jet_matrix_inverse,
+    curvature_point,
+)
 from .errors import (
     InsufficientOrderError,
     SingularFrameError,
     UnsupportedDimensionError,
 )
-from .jets import Jet
+from .jets import Jet, _context, _JetContext, cauchy_product, contract, partials
 from .metriclang import MetricSpec
 
 DEFAULT_FRAME_RTOL = 1e-8
 DEFAULT_FRAME_FLOOR = 1e-10
 
 
-# -- jet matrix helpers --------------------------------------------------------
+def numerical_rank(
+    singular_values: Sequence[float],
+    rel_tol: float = DEFAULT_FRAME_RTOL,
+    abs_floor: float = DEFAULT_FRAME_FLOOR,
+) -> int:
+    """Count singular values above rel_tol * sigma_1 (0 if all below floor)."""
+    sv = np.asarray(singular_values, dtype=float)
+    if sv.size == 0 or sv[0] < abs_floor:
+        return 0
+    return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def _mat_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = a.shape[0]
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            acc = None
-            for k in range(n):
-                term = a[i, k] * b[k, j]
-                acc = term if acc is None else acc + term
-            out[i, j] = acc
-    return out
-
-
-def _mat_trace(a: np.ndarray) -> Jet:
-    acc = a[0, 0]
-    for i in range(1, a.shape[0]):
-        acc = acc + a[i, i]
-    return acc
-
-
-def _identity_matrix(n: int, like: Jet) -> np.ndarray:
-    out = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = Jet.constant(1.0 if i == j else 0.0, like.n_vars, like.order)
-    return out
+def _trace(mat: np.ndarray, n_vars: int, order: int) -> Jet:
+    diag = np.arange(mat.shape[0])
+    return Jet(n_vars, order, mat[diag, diag].sum(axis=0))
 
 
 # -- order-2 invariants ----------------------------------------------------------
@@ -71,13 +64,13 @@ def _identity_matrix(n: int, like: Jet) -> np.ndarray:
 
 def ricci_traces(a_op: TensorComponents, count: int | None = None) -> list[Jet]:
     """Power traces of the Ricci operator, Tr(A^i) for i = 1..count."""
-    n = a_op.n
+    n, order = a_op.n, a_op.order
     count = n if count is None else count
-    power = a_op.entries
-    traces = [_mat_trace(power)]
+    power = a_op.coeffs
+    traces = [_trace(power, n, order)]
     for _ in range(count - 1):
-        power = _mat_mul(power, a_op.entries)
-        traces.append(_mat_trace(power))
+        power = contract(power, a_op.coeffs, a_op.ctx)
+        traces.append(_trace(power, n, order))
     return traces
 
 
@@ -91,19 +84,13 @@ def surface_invariant_pair(curv: CurvaturePoint) -> list[Jet]:
     scal = curv.scalar
     if scal.order < 1:
         raise InsufficientOrderError("surface pair needs the scalar at order >= 1")
-    n = curv.n
     ginv = curv.g_inv.truncate(scal.order - 1)
-    d_scal = [scal.derivative(m) for m in range(n)]
-    acc = None
-    for i in range(n):
-        for j in range(n):
-            term = ginv[i, j] * d_scal[i] * d_scal[j]
-            acc = term if acc is None else acc + term
-    return [scal, acc]
-
-
-def _bivector_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
+    ctx = ginv.ctx
+    d_scal = partials(scal.c, scal.ctx)
+    norm = cauchy_product(
+        cauchy_product(ginv.coeffs, d_scal[:, None], ctx), d_scal[None, :], ctx
+    ).sum(axis=(0, 1))
+    return [scal, Jet(curv.n, ginv.order, norm)]
 
 
 def weyl_bivector_operator(
@@ -112,41 +99,30 @@ def weyl_bivector_operator(
     """The Weyl map on Lambda^2 TM as a C(n,2) x C(n,2) jet matrix.
 
     Row/column labels are index pairs (i < j); the entry at (cd, ab) is
-    g^{ci} g^{dj} W_{ij ab}.
+    g^{ci} g^{dj} W_{ij ab}. Returned as coefficients of shape (m, m, S).
     """
-    n = w_lower.n
     order = min(w_lower.order, g_inv.order)
     w = w_lower.truncate(order)
-    ginv = g_inv.truncate(order)
-    up2 = np.empty((n, n, n, n), dtype=object)  # W^{cd}_{ab}
-    for c in range(n):
-        for d in range(n):
-            for a in range(n):
-                for b in range(n):
-                    acc = None
-                    for i in range(n):
-                        for j in range(n):
-                            term = ginv[c, i] * ginv[d, j] * w[i, j, a, b]
-                            acc = term if acc is None else acc + term
-                    up2[c, d, a, b] = acc
-    pairs = _bivector_pairs(n)
-    m = len(pairs)
-    out = np.empty((m, m), dtype=object)
-    for p, (c, d) in enumerate(pairs):
-        for q, (a, b) in enumerate(pairs):
-            out[p, q] = up2[c, d, a, b]
-    return out
+    ginv = g_inv.truncate(order).coeffs
+    half = contract(ginv, w.coeffs.transpose(1, 0, 2, 3, 4), w.ctx)  # g^{dj} W_ijab at [d, i, a, b]
+    up2 = contract(ginv, half.transpose(1, 0, 2, 3, 4), w.ctx)  # W^{cd}_{ab}
+    first, second = np.triu_indices(w.n, k=1)  # the pairs (i < j)
+    return up2[first, second][:, first, second]
 
 
-def exterior_square(a_mat: np.ndarray, n: int) -> np.ndarray:
-    """Lambda^2 of an endomorphism: (u ^ v) -> (Au) ^ (Av) on pair basis."""
-    pairs = _bivector_pairs(n)
-    m = len(pairs)
-    out = np.empty((m, m), dtype=object)
-    for p, (c, d) in enumerate(pairs):
-        for q, (a, b) in enumerate(pairs):
-            out[p, q] = a_mat[c, a] * a_mat[d, b] - a_mat[c, b] * a_mat[d, a]
-    return out
+def exterior_square(a_mat: np.ndarray, ctx: _JetContext) -> np.ndarray:
+    """Lambda^2 of an endomorphism: (u ^ v) -> (Au) ^ (Av) on pair basis.
+
+    `a_mat` holds (n, n, S) jet coefficients; the result is (m, m, S).
+    """
+    first, second = np.triu_indices(a_mat.shape[0], k=1)
+
+    def block(rows, cols):
+        return a_mat[np.ix_(rows, cols)]
+
+    return cauchy_product(block(first, first), block(second, second), ctx) - cauchy_product(
+        block(first, second), block(second, first), ctx
+    )
 
 
 def weyl_operator_trace(
@@ -165,18 +141,18 @@ def weyl_operator_trace(
     """
     n = a_op.n
     order = min(a_op.order, w_lower.order, g_inv.order)
+    ctx = _context(n, order)
     w_op = weyl_bivector_operator(w_lower.truncate(order), g_inv.truncate(order))
-    lam = exterior_square(a_op.truncate(order).entries, n)
-    sample = w_op[0, 0]
+    lam = exterior_square(a_op.truncate(order).coeffs, ctx)
 
     def mat_pow(mat, e):
-        out = _identity_matrix(mat.shape[0], sample)
+        out = _jet_identity(mat.shape[0], ctx)
         for _ in range(e):
-            out = _mat_mul(out, mat)
+            out = contract(out, mat, ctx)
         return out
 
-    total = _mat_mul(_mat_mul(mat_pow(lam, a), mat_pow(w_op, b)), mat_pow(lam, c))
-    return _mat_trace(total)
+    total = contract(contract(mat_pow(lam, a), mat_pow(w_op, b), ctx), mat_pow(lam, c), ctx)
+    return _trace(total, n, order)
 
 
 def weyl_traces(
@@ -214,15 +190,17 @@ def weyl_traces(
         g_inv = g_inv.truncate(min(order, g_inv.order))
 
     w_op = weyl_bivector_operator(w_lower, g_inv)
-    lam = exterior_square(a_op.truncate(w_op[0, 0].order).entries, n)
-    n_biv = len(_bivector_pairs(n))
+    w_order = min(w_lower.order, g_inv.order)
+    ctx = _context(n, w_order)
+    lam = exterior_square(a_op.truncate(w_order).coeffs, ctx)
+    n_biv = w_op.shape[0]
 
     w_powers = [w_op]
     for _ in range(n_biv - 1):
-        w_powers.append(_mat_mul(w_powers[-1], w_op))
-    lam_powers = [_identity_matrix(n_biv, w_op[0, 0])]
+        w_powers.append(contract(w_powers[-1], w_op, ctx))
+    lam_powers = [_jet_identity(n_biv, ctx)]
     for _ in range(2 * a_max):
-        lam_powers.append(_mat_mul(lam_powers[-1], lam))
+        lam_powers.append(contract(lam_powers[-1], lam, ctx))
 
     labels: list[str] = []
     values: list[Jet] = []
@@ -232,15 +210,9 @@ def weyl_traces(
         for b in range(1, n_biv + 1):
             if len(labels) >= limit:
                 return labels, values
-            acc = None
-            pb = w_powers[b - 1]
-            ms = lam_powers[s]
-            for p in range(n_biv):
-                for q in range(n_biv):
-                    term = pb[p, q] * ms[q, p]
-                    acc = term if acc is None else acc + term
+            pairing = cauchy_product(w_powers[b - 1], lam_powers[s].transpose(1, 0, 2), ctx)
             labels.append(f"J({a},{b},{c})")
-            values.append(acc)
+            values.append(Jet(n, w_order, pairing.sum(axis=(0, 1))))
     return labels, values
 
 
@@ -253,20 +225,13 @@ class TresseFrame:
 
     `jacobian[i, m]` holds the m-th partial of the i-th invariant at the
     point; `frame[m, i]` the m-th coordinate component of the i-th dual
-    vector (columns of the inverse Jacobian), as jets so gradients
-    propagate. jacobian @ frame-values = identity.
+    vector (columns of the inverse Jacobian), as jet tensor components so
+    gradients propagate. jacobian @ frame.values() = identity.
     """
 
     jacobian: np.ndarray
-    frame: np.ndarray
+    frame: TensorComponents
     condition_number: float
-
-
-def _svd_rank(matrix: np.ndarray, rel_tol: float, abs_floor: float) -> tuple[int, np.ndarray]:
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    if sv.size == 0 or sv[0] < abs_floor:
-        return 0, sv
-    return int(np.sum(sv > rel_tol * sv[0])), sv
 
 
 def tresse_frame(
@@ -289,59 +254,22 @@ def tresse_frame(
     if order < 1:
         raise InsufficientOrderError("Tresse frame needs invariant jets of order >= 1")
     jac = np.array([j.gradient() for j in invariants])
-    rank, sv = _svd_rank(jac, rel_tol, abs_floor)
+    sv = np.linalg.svd(jac, compute_uv=False)
+    rank = numerical_rank(sv, rel_tol, abs_floor)
     if rank < n:
         raise SingularFrameError(rank)
-    jac_jets = [
-        [invariants[i].truncate(order).derivative(m) for m in range(n)]
-        for i in range(n)
-    ]
-    inv_rows = _jet_matrix_inverse(jac_jets)
-    frame = np.empty((n, n), dtype=object)
-    for m in range(n):
-        for i in range(n):
-            frame[m, i] = inv_rows[m][i]
+    base = np.array([j.truncate(order).c for j in invariants])
+    jac_jets = partials(base, _context(n, order)).transpose(1, 0, 2)  # [i, m]
+    frame = _jet_matrix_inverse(jac_jets, _context(n, order - 1))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
-    return TresseFrame(jacobian=jac, frame=frame, condition_number=cond)
+    return TresseFrame(
+        jacobian=jac,
+        frame=TensorComponents(("u", "d"), n, order - 1, frame),
+        condition_number=cond,
+    )
 
 
 # -- higher-order invariants -------------------------------------------------------
-
-
-def _tensor_val_grad(entries: np.ndarray, want_grad: bool):
-    shape = entries.shape
-    val = np.empty(shape)
-    n_vars = entries.flat[0].n_vars
-    grad = np.empty(shape + (n_vars,)) if want_grad else None
-    for idx in np.ndindex(*shape):
-        jet = entries[idx]
-        val[idx] = jet.value
-        if want_grad:
-            grad[idx] = jet.gradient()
-    return val, grad
-
-
-def _contract_first(tv, tg, fv, fg):
-    """Contract tensor axis 0 against a family of vectors (columns of fv).
-
-    Value/gradient pairs follow the product rule; the family axis is
-    appended at the end, the gradient axis stays last.
-    """
-    val = np.tensordot(tv, fv, axes=([0], [0]))
-    if tg is None:
-        return val, None
-    grad = np.moveaxis(np.tensordot(tg, fv, axes=([0], [0])), -2, -1)
-    grad = grad + np.tensordot(tv, fg, axes=([0], [0]))
-    return val, grad
-
-
-def _jet_from_val_grad(value: float, grad, n_vars: int) -> Jet:
-    if grad is None:
-        return Jet.constant(float(value), n_vars, 0)
-    c = np.zeros(1 + n_vars)  # order-1 context: constant plus gradient slots
-    c[0] = value
-    c[1:] = grad
-    return Jet(n_vars, 1, c)
 
 
 def higher_invariants(
@@ -357,8 +285,8 @@ def higher_invariants(
     Each derivative slot is paired with a frame vector, each of the four
     curvature slots with A^s applied to a frame vector for s = 0..s_range.
     Labels read H{k}[derivative word | s word | frame word] with 1-based
-    frame indices. The contraction sweep is vectorized over plain
-    value/gradient arrays since every output is needed at order <= 1 only.
+    frame indices. Every input is truncated to the output order (0, or 1
+    with gradients) before the contractions.
     """
     if k < 3:
         raise ValueError("higher invariants start at order 3")
@@ -373,44 +301,29 @@ def higher_invariants(
         raise InsufficientOrderError(
             f"nabla^{k - 2} R has jet order {t.order}, need {out_order}"
         )
-
-    tv, tg = _tensor_val_grad(t.entries, with_gradients)
-    fv, fg = _tensor_val_grad(frame.frame, with_gradients)
-    av, ag = _tensor_val_grad(a_op.entries, with_gradients)
+    ctx = _context(n, out_order)
+    f = frame.frame.truncate(out_order).coeffs
+    a = a_op.truncate(out_order).coeffs
 
     # families: columns w = s*n + j hold A^s applied to frame vector j
-    fam_v = [fv]
-    fam_g = [fg]
+    family = [f]
     for _ in range(s_range):
-        prev_v, prev_g = fam_v[-1], fam_g[-1]
-        nv = av @ prev_v
-        fam_v.append(nv)
-        if with_gradients:
-            fam_g.append(
-                np.einsum("pmq,mw->pwq", ag, prev_v) + np.einsum("pm,mwq->pwq", av, prev_g)
-            )
-        else:
-            fam_g.append(None)
-    wv = np.concatenate(fam_v, axis=1)
-    wg = np.concatenate(fam_g, axis=1) if with_gradients else None
+        family.append(contract(a, family[-1], ctx))
+    w = np.concatenate(family, axis=1)
 
-    val, grad = tv, tg
-    for _ in range(k - 2):
-        val, grad = _contract_first(val, grad, fv, fg)
-    for _ in range(4):
-        val, grad = _contract_first(val, grad, wv, wg)
+    # contract the leading slot each time; the family axis goes last
+    val = t.truncate(out_order).coeffs
+    for vectors in [f] * (k - 2) + [w] * 4:
+        val = contract(np.moveaxis(val, 0, -2), vectors, ctx)
 
     labels: list[str] = []
     values: list[Jet] = []
-    n_vars = n
-    for idx in np.ndindex(*val.shape):
+    for idx in np.ndindex(*val.shape[:-1]):
         iword = "".join(str(i + 1) for i in idx[: k - 2])
-        sword = "".join(str(w // n) for w in idx[k - 2 :])
-        jword = "".join(str(w % n + 1) for w in idx[k - 2 :])
+        sword = "".join(str(j // n) for j in idx[k - 2 :])
+        jword = "".join(str(j % n + 1) for j in idx[k - 2 :])
         labels.append(f"H{k}[{iword}|{sword}|{jword}]")
-        values.append(
-            _jet_from_val_grad(val[idx], grad[idx] if with_gradients else None, n_vars)
-        )
+        values.append(Jet(n, out_order, val[idx]))
     return labels, values
 
 

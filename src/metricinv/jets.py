@@ -12,7 +12,10 @@ accumulated in a fixed order, which makes truncation commute with every
 operation exactly (not just up to rounding): evaluating at order K+1 and
 restricting to order K reproduces the order-K evaluation bit for bit.
 
-Jets are immutable values and all operations are pure.
+Jets are immutable values and all operations are pure. The curvature
+pipeline stores whole tensors as float arrays of coefficients with leading
+index axes; `cauchy_product` multiplies such arrays entry by entry and is
+the one product of the package (`Jet.__mul__` is its rank-0 case).
 """
 
 from __future__ import annotations
@@ -103,6 +106,49 @@ def _context(n_vars: int, order: int) -> _JetContext:
     if order < 0:
         raise ShapeMismatchError("jet order must be non-negative")
     return _JetContext(n_vars, order)
+
+
+# -- coefficient arrays: last axis the ctx.size coefficients, leading axes indices
+
+
+def cauchy_product(a: np.ndarray, b: np.ndarray, ctx: _JetContext) -> np.ndarray:
+    """Truncated Cauchy product of coefficient arrays, broadcast over index axes.
+
+    Every target coefficient is accumulated over the product table in its
+    fixed (k, i, j) order, so each entry is bitwise the product of the two
+    entries' jets, whatever the batch shape.
+    """
+    prods = a.take(ctx.prod_i, axis=-1) * b.take(ctx.prod_j, axis=-1)
+    batch = prods.shape[:-1]
+    bins = ctx.prod_k
+    n_bins = prods.size // bins.size * ctx.size
+    if batch:
+        bins = (np.arange(0, n_bins, ctx.size)[:, None] + bins).ravel()
+    c = np.bincount(bins, weights=prods.ravel(), minlength=n_bins)
+    return c.reshape(batch + (ctx.size,))
+
+
+def contract(a: np.ndarray, b: np.ndarray, ctx: _JetContext) -> np.ndarray:
+    """Sum over q of a[..., q] * b[q, ...], one index at a time.
+
+    The result carries a's remaining index axes followed by b's. Terms are
+    added in ascending q, and only one q's products exist at a time.
+    """
+    a = a.reshape(a.shape[:-1] + (1,) * (b.ndim - 2) + a.shape[-1:])
+    a = np.moveaxis(a, a.ndim - b.ndim, 0)
+    total = cauchy_product(a[0], b[0], ctx)
+    for q in range(1, len(b)):
+        total = total + cauchy_product(a[q], b[q], ctx)
+    return total
+
+
+def partials(c: np.ndarray, ctx: _JetContext) -> np.ndarray:
+    """First partial derivatives on a new leading axis; the order drops by one."""
+    if ctx.order < 1:
+        raise InsufficientOrderError("derivative needs a jet of order >= 1")
+    return np.stack([
+        c.take(src, axis=-1) * fact for src, fact in zip(ctx.diff_src, ctx.diff_fact)
+    ])
 
 
 class Jet:
@@ -233,10 +279,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_compatible(other)
-            ctx = self.ctx
-            prods = self.c[ctx.prod_i] * other.c[ctx.prod_j]
-            c = np.bincount(ctx.prod_k, weights=prods, minlength=ctx.size)
-            return Jet(self.n_vars, self.order, c)
+            return Jet(self.n_vars, self.order, cauchy_product(self.c, other.c, self.ctx))
         if isinstance(other, Real):
             return Jet(self.n_vars, self.order, self.c * float(other))
         return NotImplemented
@@ -291,11 +334,6 @@ def seed(point: Sequence[float], var_index: int, order: int) -> Jet:
     return j
 
 
-def mul(a: Jet, b: Jet) -> Jet:
-    """Truncated Cauchy product."""
-    return a * b
-
-
 def _int_pow(a: Jet, e: int) -> Jet:
     if e < 0:
         return _int_pow(apply_fn("recip", a), -e)
@@ -328,95 +366,44 @@ def _compose(outer: Sequence[float], a: Jet) -> Jet:
     return Jet(a.n_vars, a.order, acc)
 
 
-def _series_sin(c0: float, order: int) -> list[float]:
-    cycle = (math.sin(c0), math.cos(c0), -math.sin(c0), -math.cos(c0))
-    fact = 1.0
-    out = []
-    for j in range(order + 1):
-        if j:
-            fact *= j
-        out.append(cycle[j % 4] / fact)
-    return out
-
-
-def _series_cos(c0: float, order: int) -> list[float]:
-    cycle = (math.cos(c0), -math.sin(c0), -math.cos(c0), math.sin(c0))
-    fact = 1.0
-    out = []
-    for j in range(order + 1):
-        if j:
-            fact *= j
-        out.append(cycle[j % 4] / fact)
-    return out
-
-
-def _series_exp(c0: float, order: int) -> list[float]:
-    e = math.exp(c0)
-    fact = 1.0
-    out = []
-    for j in range(order + 1):
-        if j:
-            fact *= j
-        out.append(e / fact)
-    return out
-
-
-def _series_log(c0: float, order: int) -> list[float]:
-    if c0 <= 0.0:
-        raise DomainError(f"log of jet with non-positive constant term {c0}")
-    out = [math.log(c0)]
-    for j in range(1, order + 1):
-        out.append((-1.0) ** (j - 1) / (j * c0**j))
-    return out
-
-
-def _series_recip(c0: float, order: int) -> list[float]:
-    if c0 == 0.0:
-        raise DomainError("reciprocal of jet with zero constant term")
-    out = []
-    p = 1.0 / c0
-    for j in range(order + 1):
-        out.append(p if j % 2 == 0 else -p)
-        p /= c0
-    return out
-
-
-def _series_sinh(c0: float, order: int) -> list[float]:
-    cycle = (math.sinh(c0), math.cosh(c0))
-    fact = 1.0
-    out = []
-    for j in range(order + 1):
-        if j:
-            fact *= j
-        out.append(cycle[j % 2] / fact)
-    return out
-
-
-def _series_cosh(c0: float, order: int) -> list[float]:
-    cycle = (math.cosh(c0), math.sinh(c0))
-    fact = 1.0
-    out = []
-    for j in range(order + 1):
-        if j:
-            fact *= j
-        out.append(cycle[j % 2] / fact)
-    return out
-
-
-_SERIES: dict[str, Callable[[float, int], list[float]]] = {
-    "sin": _series_sin,
-    "cos": _series_cos,
-    "exp": _series_exp,
-    "log": _series_log,
-    "recip": _series_recip,
-    "sinh": _series_sinh,
-    "cosh": _series_cosh,
+# Derivative cycles: f^(j)(c0) is entry j mod len of the tuple at c0.
+_DERIVATIVE_CYCLES: dict[str, Callable[[float], tuple[float, ...]]] = {
+    "sin": lambda x: (math.sin(x), math.cos(x), -math.sin(x), -math.cos(x)),
+    "cos": lambda x: (math.cos(x), -math.sin(x), -math.cos(x), math.sin(x)),
+    "exp": lambda x: (math.exp(x),),
+    "sinh": lambda x: (math.sinh(x), math.cosh(x)),
+    "cosh": lambda x: (math.cosh(x), math.sinh(x)),
 }
 
-FUNCTION_TAGS = frozenset(
-    ["sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh",
-     "neg", "recip"]
-)
+
+def _series(tag: str, c0: float, order: int) -> list[float]:
+    """Taylor coefficients f^(j)(c0) / j! of an elementary function, j <= order."""
+    try:
+        if tag == "log":
+            if c0 <= 0.0:
+                raise DomainError(f"log of jet with non-positive constant term {c0}")
+            return [math.log(c0)] + [
+                (-1.0) ** (j - 1) / (j * c0**j) for j in range(1, order + 1)
+            ]
+        if tag == "recip":
+            if c0 == 0.0:
+                raise DomainError("reciprocal of jet with zero constant term")
+            out = []
+            p = 1.0 / c0
+            for j in range(order + 1):
+                out.append(p if j % 2 == 0 else -p)
+                p /= c0
+            return out
+        cycle = _DERIVATIVE_CYCLES[tag](c0)
+    except OverflowError:
+        raise DomainError(f"{tag} overflows at constant term {c0!r}") from None
+    fact = 1.0
+    out = []
+    for j in range(order + 1):
+        if j:
+            fact *= j
+        out.append(cycle[j % len(cycle)] / fact)
+    return out
 
 
 def jet_pow(a: Jet, exponent: Fraction) -> Jet:
@@ -436,7 +423,10 @@ def jet_pow(a: Jet, exponent: Fraction) -> Jet:
             f"constant term {c0}"
         )
     r = float(exponent)
-    outer = [math.pow(c0, r)]
+    try:
+        outer = [math.pow(c0, r)]
+    except OverflowError:
+        raise DomainError(f"power {exponent} overflows at constant term {c0!r}") from None
     for j in range(1, a.order + 1):
         outer.append(outer[-1] * (r - (j - 1)) / (j * c0))
     return _compose(outer, a)
@@ -447,16 +437,15 @@ def apply_fn(tag: str, a: Jet) -> Jet:
     if tag == "neg":
         return -a
     if tag == "tan":
-        cos_a = _compose(_series_cos(a.value, a.order), a)
+        cos_a = _compose(_series("cos", a.value, a.order), a)
         if cos_a.value == 0.0:
             raise DomainError("tan of jet at a pole (cos of constant term is 0)")
-        return _compose(_series_sin(a.value, a.order), a) * apply_fn("recip", cos_a)
+        return _compose(_series("sin", a.value, a.order), a) * apply_fn("recip", cos_a)
     if tag == "tanh":
-        cosh_a = _compose(_series_cosh(a.value, a.order), a)
-        return _compose(_series_sinh(a.value, a.order), a) * apply_fn("recip", cosh_a)
+        cosh_a = _compose(_series("cosh", a.value, a.order), a)
+        return _compose(_series("sinh", a.value, a.order), a) * apply_fn("recip", cosh_a)
     if tag == "sqrt":
         return jet_pow(a, Fraction(1, 2))
-    series = _SERIES.get(tag)
-    if series is None:
+    if tag not in _DERIVATIVE_CYCLES and tag not in ("log", "recip"):
         raise ValueError(f"unknown function tag '{tag}'")
-    return _compose(series(a.value, a.order), a)
+    return _compose(_series(tag, a.value, a.order), a)

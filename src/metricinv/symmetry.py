@@ -13,7 +13,7 @@ pseudo-Riemannian and all invariants vanish while the curvature does not
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 from typing import Sequence
 
 import numpy as np
@@ -24,24 +24,16 @@ from .errors import (
     DomainError,
     SingularMetricError,
 )
-from .invariants import InvariantVector, invariant_sample
+from .invariants import (
+    DEFAULT_FRAME_FLOOR,
+    DEFAULT_FRAME_RTOL,
+    InvariantVector,
+    invariant_sample,
+    numerical_rank,
+)
 from .metriclang import MetricSpec
 
-DEFAULT_REL_TOL = 1e-8
-DEFAULT_ABS_FLOOR = 1e-10
 VANISHING_TOL = 1e-8
-
-
-def numerical_rank(
-    singular_values: Sequence[float],
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_floor: float = DEFAULT_ABS_FLOOR,
-) -> int:
-    """Count singular values above rel_tol * sigma_1 (0 if all below floor)."""
-    sv = np.asarray(singular_values, dtype=float)
-    if sv.size == 0 or sv[0] < abs_floor:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
 
 
 def invariant_jacobian(
@@ -104,19 +96,24 @@ def homogeneity(
     n_samples: int = 20,
     max_order: int = 2,
     seed: int = 0,
-    rel_tol: float = DEFAULT_REL_TOL,
-    abs_floor: float = DEFAULT_ABS_FLOOR,
+    rel_tol: float = DEFAULT_FRAME_RTOL,
+    abs_floor: float = DEFAULT_FRAME_FLOOR,
     s_range: int = 1,
 ) -> RankReport:
     """Estimate the symmetry-orbit dimension of a metric over a box.
 
     Draws `n_samples` points deterministically from `seed`, computes the
     invariant Jacobian at each (skipping chart singularities), and infers
-    homogeneity n - m from the consensus rank m.
+    homogeneity n - m from the consensus rank m. Raises ValueError unless
+    0 < rel_tol < 1 and 0 <= abs_floor < inf (NaN fails both).
     """
     n = spec.dim
     if len(box) != n:
         raise ValueError(f"box has {len(box)} axes for dimension {n}")
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError(f"rel_tol must lie strictly between 0 and 1, got {rel_tol!r}")
+    if not 0.0 <= abs_floor < inf:
+        raise ValueError(f"abs_floor must be finite and >= 0, got {abs_floor!r}")
     used: list[tuple[float, ...]] = []
     all_sv: list[tuple[float, ...]] = []
     ranks: list[int] = []

@@ -69,13 +69,22 @@ def test_curvature_command_sphere(capsys, metric_files):
     assert "metric_digest" in doc
 
 
-def test_curvature_singular_point_exit_3(capsys, metric_files):
+def test_curvature_singular_point_exit_3(capsys, metric_files, tmp_path):
     code, _, err = run_cli(
         capsys, "curvature", "--metric", metric_files["sphere2"],
         "--point", "x=0,y=0",
     )
     assert code == 3
     assert "SingularMetric" in err
+    # exp(512)^2 and exp(729) overflow a float: domain errors, not tracebacks
+    path = tmp_path / "overflow.metric"
+    path.write_text("dim=2; coords=[x,y]; g[1,1]=exp(x^3); g[2,2]=1\n")
+    for point in ("x=8,y=0", "x=9,y=0"):
+        code, _, err = run_cli(
+            capsys, "curvature", "--metric", str(path), "--point", point,
+        )
+        assert code == 3
+        assert "DomainError" in err
 
 
 def test_curvature_bad_point_exit_2(capsys, metric_files):
@@ -120,6 +129,18 @@ def test_homogeneity_ppwave_warning(capsys, metric_files):
     assert doc["results"]["regularity_warning"] is True
     assert doc["results"]["homogeneity"] == 4
     assert doc["results"]["claims_killing_fields"] is False
+
+
+@pytest.mark.parametrize("rel_tol", ["nan", "2", "-1", "0"])
+def test_homogeneity_rejects_invalid_rel_tol(capsys, metric_files, rel_tol):
+    code, out, err = run_cli(
+        capsys, "homogeneity", "--metric", metric_files["revolution"],
+        "--box", "x=0:3,y=0:3", "--samples", "3", "--seed", "5",
+        "--rel-tol", rel_tol,
+    )
+    assert code == 2
+    assert out == ""
+    assert "rel_tol" in err
 
 
 def test_determinism(capsys, metric_files):

@@ -37,14 +37,11 @@ S2_POINT = (1.1, 0.4)
 
 
 def _tensor_from_exprs(texts, coords, point, order):
-    n = len(coords)
-    entries = np.empty((n, n), dtype=object)
-    for i in range(n):
-        for j in range(n):
-            entries[i, j] = eval_expr(
-                parse_expression(texts[i][j], coords), point, order
-            )
-    return TensorComponents(("d", "d"), n, entries)
+    rows = [
+        [eval_expr(parse_expression(text, coords), point, order) for text in row]
+        for row in texts
+    ]
+    return TensorComponents.from_jets(("d", "d"), rows)
 
 
 def test_metric_at_euclidean(flat3):
@@ -261,12 +258,12 @@ def test_covariant_derivative_mixed_variance(sphere3):
     g, ginv = metric_at(sphere3, point, 3)
     gam = christoffel(g, ginv)
     n = 3
-    entries = np.empty((n, n), dtype=object)
     order = gam.order
-    for i in range(n):
-        for j in range(n):
-            entries[i, j] = Jet.constant(1.0 if i == j else 0.0, n, order + 1)
-    ident = TensorComponents(("u", "d"), n, entries)
+    rows = [
+        [Jet.constant(1.0 if i == j else 0.0, n, order + 1) for j in range(n)]
+        for i in range(n)
+    ]
+    ident = TensorComponents.from_jets(("u", "d"), rows)
     nabla_id = covariant_derivative(ident, gam)
     assert nabla_id.max_abs() < 1e-13
 

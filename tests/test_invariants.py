@@ -147,13 +147,15 @@ def test_tresse_frame_invertible_generic():
 
 def _unit_frame(n, order):
     """Coordinate frame stand-in for metrics whose Tresse frame is singular."""
+    from metricinv.curvature import TensorComponents
     from metricinv.invariants import TresseFrame
     from metricinv.jets import Jet
 
-    frame = np.empty((n, n), dtype=object)
-    for m in range(n):
-        for i in range(n):
-            frame[m, i] = Jet.constant(1.0 if m == i else 0.0, n, order)
+    rows = [
+        [Jet.constant(1.0 if m == i else 0.0, n, order) for i in range(n)]
+        for m in range(n)
+    ]
+    frame = TensorComponents.from_jets(("u", "d"), rows)
     return TresseFrame(jacobian=np.eye(n), frame=frame, condition_number=1.0)
 
 
@@ -256,18 +258,19 @@ def test_invariant_vector_labels_unique():
     assert len(iv.labels) == len(iv.values)
 
 
-def test_invariant_vector_gradient_plumbing():
+@pytest.mark.parametrize("max_order", [3, 4])
+def test_invariant_vector_gradient_plumbing(max_order):
     # fixture chosen with O(1)-O(10) values so the FD oracle is clean
     spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
     point = (0.3, -0.1, 0.2)
-    iv = invariant_vector(spec, point, max_order=3, with_gradients=True)
+    iv = invariant_vector(spec, point, max_order=max_order, with_gradients=True)
     jac = iv.jacobian()
     assert jac.shape == (len(iv), 3)
     assert np.max(np.abs(iv.values_array())) < 100
     # cross-check the x-column by central differences
     h = 1e-6
-    up = invariant_vector(spec, (point[0] + h, point[1], point[2]), max_order=3)
-    dn = invariant_vector(spec, (point[0] - h, point[1], point[2]), max_order=3)
+    up = invariant_vector(spec, (point[0] + h, point[1], point[2]), max_order=max_order)
+    dn = invariant_vector(spec, (point[0] - h, point[1], point[2]), max_order=max_order)
     fd = (up.values_array() - dn.values_array()) / (2 * h)
     scale = np.maximum(1.0, np.abs(fd))
     assert np.max(np.abs(jac[:, 0] - fd) / scale) < 1e-6

@@ -132,6 +132,27 @@ def test_pow_rational():
         jet_pow(seed((0.0,), 0, 2), Fraction(1, 2))
 
 
+def test_cauchy_product_batch_is_bitwise_per_entry():
+    """The batched product sums each coefficient in the (k, i, j) order of
+    the product table, exactly as an explicit loop over the table does."""
+    from metricinv.jets import _context, cauchy_product
+
+    rng = np.random.default_rng(3)
+    for n_vars, order in [(4, 0), (4, 1), (3, 2), (2, 4)]:
+        ctx = _context(n_vars, order)
+        a = rng.standard_normal((3, 1, ctx.size))
+        b = rng.standard_normal((4, ctx.size))
+        batch = cauchy_product(a, b, ctx)
+        assert batch.shape == (3, 4, ctx.size)
+        for p in range(3):
+            for q in range(4):
+                loop = [0.0] * ctx.size
+                for k, i, j in zip(ctx.prod_k, ctx.prod_i, ctx.prod_j):
+                    loop[k] += a[p, 0, i] * b[q, j]
+                assert batch[p, q].tolist() == loop
+                assert (Jet(n_vars, order, a[p, 0]) * Jet(n_vars, order, b[q])).c.tolist() == loop
+
+
 def test_truncation_is_prefix():
     j = apply_fn("exp", seed((0.3, -0.2), 0, 4) * seed((0.3, -0.2), 1, 4))
     t = j.truncate(2)
