@@ -1,0 +1,173 @@
+#!/usr/bin/env python3
+"""Check that two checkouts of metricinv give the same outputs, bit for bit.
+
+Usage:
+  python3 scripts/compare_outputs.py PARENT_ROOT [CHANGE_ROOT]
+
+CHANGE_ROOT defaults to the checkout this script lives in. Each root runs
+the same probes in its own subprocess (cwd = the root), importing that
+root's `src/`, and `perfbench/` for the workload inputs:
+
+- the CLI `curvature --order 4`, `invariants --max-order 3` and
+  `--max-order 4`, and `homogeneity --samples 6 --max-order 3 --seed 7`
+  on every file in `metrics/`: exit code, JSON report without
+  `wall_time_s`, and stderr;
+- tower3d ops 0-3 of seeds 11 and 7919: labels, values and Jacobian;
+- survey4d ops 0-39 of seeds 11 and 7919: the whole `RankReport`.
+
+Floats are compared through their shortest repr, which round-trips
+exactly. Prints the first difference and exits 1, or prints the number
+of probes and exits 0.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SEEDS = (11, 7919)
+TOWER_OPS = range(4)
+SURVEY_OPS = range(40)
+# One point inside each bundled metric's chart, and a sampling box (the
+# boxes of scripts/symmetry_survey.py).
+POINTS = {
+    "flat2": "x=0.3,y=-0.2",
+    "flat3": "x=0.3,y=-0.2,z=0.5",
+    "hyperbolic2": "x=0.3,y=1.2",
+    "ppwave": "u=0.1,v=0.5,x=0.7,y=0.3",
+    "revolution": "x=0.9,y=0.3",
+    "schwarzschild": "t=0,r=3,th=1,ph=0.5",
+    "sphere2": "x=1.1,y=0.4",
+    "sphere3": "x=1.1,y=0.8,z=0.3",
+}
+BOXES = {
+    "flat2": "x=-1:1,y=-1:1",
+    "flat3": "x=-1:1,y=-1:1,z=-1:1",
+    "hyperbolic2": "x=-1:1,y=0.5:2.5",
+    "ppwave": "u=-0.5:0.5,v=-1:1,x=0.5:1.5,y=0.2:1.2",
+    "revolution": "x=0:3,y=0:3",
+    "schwarzschild": "t=0:1,r=3:6,th=0.6:2.4,ph=0:3",
+    "sphere2": "x=0.5:2.5,y=0:3",
+    "sphere3": "x=0.6:2.4,y=0.6:2.4,z=0:3",
+}
+
+
+def _cli_probes(cli):
+    for name in sorted(POINTS):
+        path = f"metrics/{name}.metric"
+        point, box = POINTS[name], BOXES[name]
+        for argv in (
+            ["curvature", "--metric", path, "--point", point, "--order", "4"],
+            ["invariants", "--metric", path, "--point", point, "--max-order", "3"],
+            ["invariants", "--metric", path, "--point", point, "--max-order", "4"],
+            ["homogeneity", "--metric", path, "--box", box,
+             "--samples", "6", "--max-order", "3", "--seed", "7"],
+        ):
+            def run(argv=argv):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = cli.main(argv + ["--format", "json"])
+                doc = json.loads(out.getvalue()) if out.getvalue() else None
+                if doc is not None:
+                    doc.pop("wall_time_s")
+                return {"exit": code, "report": doc, "stderr": err.getvalue()}
+
+            yield " ".join(argv[:3] + argv[5:]), run
+
+
+def _workload_probes(workloads, root):
+    for seed in SEEDS:
+        tower = workloads.Tower3d(seed, root)
+        for op in TOWER_OPS:
+            def run(tower=tower, op=op):
+                _, iv = tower.run(tower.inputs(op))
+                return {
+                    "labels": list(iv.labels),
+                    "values": iv.values_array().tolist(),
+                    "jacobian": iv.jacobian().tolist(),
+                    "warnings": list(iv.warnings),
+                }
+
+            yield f"tower3d seed {seed} op {op}", run
+        survey = workloads.Survey4d(seed, root)
+        for op in SURVEY_OPS:
+            def run(survey=survey, op=op):
+                return dataclasses.asdict(survey.run(survey.inputs(op)))
+
+            yield f"survey4d seed {seed} op {op}", run
+
+
+def probe(root: Path) -> None:
+    """Print `name<TAB>json` for every probe, run on `root`'s code."""
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    from metricinv import cli
+    import workloads
+
+    for name, run in [*_cli_probes(cli), *_workload_probes(workloads, root)]:
+        try:
+            out = run()
+        except Exception as exc:  # a failure is an output to compare too
+            out = {"error": f"{type(exc).__name__}: {exc}"}
+        print(f"{name}\t{json.dumps(out)}", flush=True)
+
+
+def _outputs(root: Path) -> list[tuple[str, str]]:
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--probe", str(root)],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise SystemExit(f"probes failed on {root}:\n{proc.stderr}")
+    return [tuple(line.split("\t", 1)) for line in proc.stdout.splitlines()]
+
+
+def _first_difference(a, b, path=""):
+    """Path and both sides of the first leaf where a and b differ."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        pairs = ((f"{path}.{k}", a[k], b[k]) for k in a)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        pairs = ((f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b)))
+    else:
+        return path, a, b
+    for sub, x, y in pairs:
+        if json.dumps(x) != json.dumps(y):
+            return _first_difference(x, y, sub)
+    return path, a, b  # the same leaves in another order
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--probe"]:
+        probe(Path(argv[1]))
+        return 0
+    if len(argv) not in (1, 2):
+        print(__doc__, file=sys.stderr)
+        return 2
+    parent = Path(argv[0]).resolve()
+    change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
+    before, after = _outputs(parent), _outputs(change)
+    for (name_a, out_a), (name_b, out_b) in zip(before, after):
+        if name_a != name_b:
+            print(f"probe lists differ: {name_a!r} against {name_b!r}")
+            return 1
+        if out_a != out_b:
+            where, x, y = _first_difference(json.loads(out_a), json.loads(out_b))
+            print(f"{name_a}: first difference at {where or 'top level'}")
+            print(f"  parent: {json.dumps(x)[:300]}")
+            print(f"  change: {json.dumps(y)[:300]}")
+            return 1
+    if len(before) != len(after):
+        print(f"probe counts differ: {len(before)} against {len(after)}")
+        return 1
+    print(f"{len(before)} probes identical")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))

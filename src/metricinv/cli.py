@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -85,43 +86,43 @@ def _load_metric(path: str) -> tuple[MetricSpec, str]:
     return parse_metric(raw.decode("utf-8")), digest
 
 
-def _parse_point(text: str, spec: MetricSpec) -> tuple[float, ...]:
-    values: dict[str, float] = {}
+def _parse_coordinates(
+    text: str, spec: MetricSpec, flag: str, width: int
+) -> list[tuple[float, ...]]:
+    """Finite `name=v` (width 1) or `name=lo:hi` (width 2) items, one per coordinate."""
+    found: dict[str, tuple[float, ...]] = {}
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
-            raise MetricLangError(f"bad point component {item!r}; expected name=value")
-        name, _, value = item.partition("=")
+        name, sep, value = item.partition("=")
         name = name.strip()
+        if not sep:
+            raise MetricLangError(f"bad {flag} component {item!r}; expected name=value")
         if name not in spec.coords:
-            raise MetricLangError(f"unknown coordinate {name!r} in --point")
-        values[name] = float(value)
-    missing = [c for c in spec.coords if c not in values]
+            raise MetricLangError(f"unknown coordinate {name!r} in {flag}")
+        if name in found:
+            raise MetricLangError(f"coordinate {name!r} given twice in {flag}")
+        parts = value.split(":")
+        if len(parts) != width:
+            form = "lo:hi" if width == 2 else "one number"
+            raise MetricLangError(f"bad value {value!r} for {name!r} in {flag}; expected {form}")
+        numbers = tuple(float(p) for p in parts)
+        if not all(math.isfinite(x) for x in numbers):
+            raise MetricLangError(f"non-finite value {value!r} for {name!r} in {flag}")
+        found[name] = numbers
+    missing = [c for c in spec.coords if c not in found]
     if missing:
-        raise MetricLangError(f"--point missing coordinates: {', '.join(missing)}")
-    return tuple(values[c] for c in spec.coords)
+        raise MetricLangError(f"{flag} missing coordinates: {', '.join(missing)}")
+    return [found[c] for c in spec.coords]
+
+
+def _parse_point(text: str, spec: MetricSpec) -> tuple[float, ...]:
+    return tuple(x for (x,) in _parse_coordinates(text, spec, "--point", 1))
 
 
 def _parse_box(text: str, spec: MetricSpec) -> list[tuple[float, float]]:
-    ranges: dict[str, tuple[float, float]] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        name, _, rng = item.partition("=")
-        name = name.strip()
-        if name not in spec.coords:
-            raise MetricLangError(f"unknown coordinate {name!r} in --box")
-        lo, sep, hi = rng.partition(":")
-        if not sep:
-            raise MetricLangError(f"bad range {rng!r}; expected lo:hi")
-        ranges[name] = (float(lo), float(hi))
-    missing = [c for c in spec.coords if c not in ranges]
-    if missing:
-        raise MetricLangError(f"--box missing coordinates: {', '.join(missing)}")
-    return [ranges[c] for c in spec.coords]
+    return _parse_coordinates(text, spec, "--box", 2)
 
 
 def _tensor_lists(values: np.ndarray):
@@ -144,7 +145,7 @@ def cmd_curvature(args) -> Report:
         },
         metric_digest=digest,
     )
-    curv = curvature_point(spec, point, order, s_max=0)
+    curv = curvature_point(spec, point, order)
     report.results = {
         "dim": spec.dim,
         "coords": list(spec.coords),
@@ -249,6 +250,8 @@ def cmd_count(args) -> Report:
         command="count",
         parameters={"dim": args.dim, "max_k": args.max_k},
     )
+    if args.max_k < 0:
+        raise ValueError(f"--max-k must be >= 0, got {args.max_k}")
     ks = list(range(args.max_k + 1))
     report.results = {
         "dim": args.dim,
@@ -400,7 +403,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"metricinv: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except (MetricLangError, FileNotFoundError, ValueError) as exc:
+    except (MetricLangError, OSError, ValueError) as exc:
         print(f"metricinv: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except AssertionError as exc:

@@ -213,6 +213,8 @@ class RationalFunction:
 
 def series_expand(f: RationalFunction, k_max: int) -> list[int]:
     """Exact Taylor coefficients c_0..c_k_max of f around z = 0."""
+    if k_max < 0:
+        raise ValueError(f"series length k_max must be >= 0, got {k_max}")
     if f.is_laurent:
         raise PoleAtZeroError(f"function has a pole of order {f.shift} at z = 0")
     num, den = f.numerator, f.denominator

@@ -17,13 +17,16 @@ through `jets.contract`, one index at a time.
 
 Every derivative consumed drops the available jet order by one; each
 operation below states its consumption and rejects inputs that are too
-shallow. Signature plays no role: the inverse metric comes from the full
-jet-level matrix inverse and no positivity is assumed.
+shallow. `curvature_point` builds everything up to the Weyl tensor at
+once, and nabla^s R on the first read of `CurvaturePoint.nabla_r`.
+Signature plays no role: the inverse metric comes from the full jet-level
+matrix inverse and no positivity is assumed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -292,7 +295,8 @@ class CurvaturePoint:
 
     All tensors are evaluated at the same point; the jet order of each
     entry reflects how many derivatives its construction consumed. `weyl`
-    is None for n = 2, where the tensor is undefined.
+    is None for n = 2, where the tensor is undefined. `nabla_r` is built
+    on first read, so callers that never read it never pay for it.
     """
 
     point: tuple[float, ...]
@@ -307,7 +311,15 @@ class CurvaturePoint:
     scalar: Jet
     ricci_op: TensorComponents
     weyl: TensorComponents | None
-    nabla_r: tuple[TensorComponents, ...]  # nabla^s R_lower for s = 0..s_max
+    s_max: int
+
+    @cached_property
+    def nabla_r(self) -> tuple[TensorComponents, ...]:
+        """nabla^s R_lower for s = 0..s_max."""
+        nabla = [self.riemann_lower]
+        for _ in range(self.s_max):
+            nabla.append(covariant_derivative(nabla[-1], self.gamma))
+        return tuple(nabla)
 
 
 def curvature_point(
@@ -319,7 +331,8 @@ def curvature_point(
     """Run the full pipeline from metric jets of the given order.
 
     nabla^s R is computable iff s <= order - 2; `s_max` defaults to that
-    bound and larger requests are rejected.
+    bound and larger requests are rejected. The derivatives themselves
+    are computed when `nabla_r` is first read.
     """
     if order < 2:
         raise InsufficientOrderError("curvature needs metric jets of order >= 2")
@@ -336,9 +349,6 @@ def curvature_point(
     ric, scal = ricci(r_mixed, g_inv)
     a_op = ricci_operator(g_inv, ric)
     w = weyl(g, ric, scal, r_lower) if spec.dim >= 3 else None
-    nabla = [r_lower]
-    for _ in range(s_max):
-        nabla.append(covariant_derivative(nabla[-1], gamma))
     return CurvaturePoint(
         point=tuple(float(x) for x in point),
         n=spec.dim,
@@ -352,5 +362,5 @@ def curvature_point(
         scalar=scal,
         ricci_op=a_op,
         weyl=w,
-        nabla_r=tuple(nabla),
+        s_max=s_max,
     )

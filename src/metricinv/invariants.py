@@ -18,6 +18,7 @@ every product among them goes through `jets.cauchy_product`.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -159,7 +160,6 @@ def weyl_traces(
     a_op: TensorComponents,
     w_lower: TensorComponents | None,
     g_inv: TensorComponents,
-    a_max: int | None = None,
     limit: int | None = None,
     order: int | None = None,
 ) -> tuple[list[str], list[Jet]]:
@@ -169,8 +169,9 @@ def weyl_traces(
     which Lambda^2(A)^a Lambda^2(A)^c = Lambda^2(A)^{a+c}; the cyclic
     trace identity then makes the trace depend on (a+c, b) only, so one
     canonical representative with a <= c is emitted per class, ordered by
-    (a+c, b). By default the list is cut at the number of independent
-    order-2 invariants beyond the power traces, (n+2)(n+1)n(n-3)/12.
+    (a+c, b), with a, c <= n. By default the list is cut at the number of
+    independent order-2 invariants beyond the power traces,
+    (n+2)(n+1)n(n-3)/12; powers are formed only as far as the cut reaches.
     """
     n = a_op.n
     if n < 3:
@@ -180,8 +181,6 @@ def weyl_traces(
     assert w_lower is not None
     from .counting import weyl_trace_count
 
-    if a_max is None:
-        a_max = n
     if limit is None:
         limit = weyl_trace_count(n)
     if order is not None:
@@ -195,24 +194,22 @@ def weyl_traces(
     lam = exterior_square(a_op.truncate(w_order).coeffs, ctx)
     n_biv = w_op.shape[0]
 
+    # (s, b) = (a + c, b) in emission order; within one s, b runs 1..n_biv,
+    # so each pair needs at most one more power of either operator
+    pairs = [(s, b) for s in range(2 * n + 1) for b in range(1, n_biv + 1)]
     w_powers = [w_op]
-    for _ in range(n_biv - 1):
-        w_powers.append(contract(w_powers[-1], w_op, ctx))
     lam_powers = [_jet_identity(n_biv, ctx)]
-    for _ in range(2 * a_max):
-        lam_powers.append(contract(lam_powers[-1], lam, ctx))
-
     labels: list[str] = []
     values: list[Jet] = []
-    for s in range(2 * a_max + 1):
-        a = max(0, s - a_max)
-        c = s - a
-        for b in range(1, n_biv + 1):
-            if len(labels) >= limit:
-                return labels, values
-            pairing = cauchy_product(w_powers[b - 1], lam_powers[s].transpose(1, 0, 2), ctx)
-            labels.append(f"J({a},{b},{c})")
-            values.append(Jet(n, w_order, pairing.sum(axis=(0, 1))))
+    for s, b in pairs[: max(limit, 0)]:
+        if b > len(w_powers):
+            w_powers.append(contract(w_powers[-1], w_op, ctx))
+        if s == len(lam_powers):
+            lam_powers.append(contract(lam_powers[-1], lam, ctx))
+        pairing = cauchy_product(w_powers[b - 1], lam_powers[s].transpose(1, 0, 2), ctx)
+        a = max(0, s - n)
+        labels.append(f"J({a},{b},{s - a})")
+        values.append(Jet(n, w_order, pairing.sum(axis=(0, 1))))
     return labels, values
 
 
@@ -291,7 +288,7 @@ def higher_invariants(
     if k < 3:
         raise ValueError("higher invariants start at order 3")
     n = curv.n
-    if len(curv.nabla_r) < k - 1:
+    if curv.s_max < k - 2:
         raise InsufficientOrderError(
             f"nabla^{k - 2} R not available; increase the metric jet order"
         )
@@ -316,14 +313,16 @@ def higher_invariants(
     for vectors in [f] * (k - 2) + [w] * 4:
         val = contract(np.moveaxis(val, 0, -2), vectors, ctx)
 
-    labels: list[str] = []
-    values: list[Jet] = []
-    for idx in np.ndindex(*val.shape[:-1]):
-        iword = "".join(str(i + 1) for i in idx[: k - 2])
-        sword = "".join(str(j // n) for j in idx[k - 2 :])
-        jword = "".join(str(j % n + 1) for j in idx[k - 2 :])
-        labels.append(f"H{k}[{iword}|{sword}|{jword}]")
-        values.append(Jet(n, out_order, val[idx]))
+    # labels in the row-major order of val's index axes
+    digits = [str(i + 1) for i in range(n)]
+    iwords = ["".join(word) for word in itertools.product(digits, repeat=k - 2)]
+    slots = [(str(s), j) for s in range(s_range + 1) for j in digits]  # in column order
+    swords = [
+        "".join(s for s, _ in word) + "|" + "".join(j for _, j in word)
+        for word in itertools.product(slots, repeat=4)
+    ]
+    labels = [f"H{k}[{iword}|{sword}]" for iword in iwords for sword in swords]
+    values = [Jet(n, out_order, row) for row in val.reshape(-1, ctx.size)]
     return labels, values
 
 
@@ -371,7 +370,6 @@ def invariant_sample(
     max_order: int = 2,
     with_gradients: bool = False,
     s_range: int = 1,
-    a_power_max: int | None = None,
     frame_rel_tol: float = DEFAULT_FRAME_RTOL,
     frame_abs_floor: float = DEFAULT_FRAME_FLOOR,
 ) -> tuple[InvariantVector, CurvaturePoint]:
@@ -379,6 +377,8 @@ def invariant_sample(
     n = spec.dim
     if max_order < 2:
         raise ValueError("invariants start at order 2")
+    if s_range < 0:
+        raise ValueError(f"the highest power of A must be >= 0, got {s_range}")
     out_order = 1 if with_gradients else 0
     order = required_jet_order(n, max_order, with_gradients)
     curv = curvature_point(spec, point, order, s_max=max(0, max_order - 2))
@@ -393,34 +393,24 @@ def invariant_sample(
     else:
         base = ricci_traces(curv.ricci_op)
         labels.extend(f"I{i + 1}" for i in range(n))
-    values.extend(base)
+    values.extend(j.truncate(out_order) for j in base)
 
     if n >= 4:
         j_labels, j_values = weyl_traces(
-            curv.ricci_op,
-            curv.weyl,
-            curv.g_inv,
-            a_max=a_power_max,
-            order=out_order,
+            curv.ricci_op, curv.weyl, curv.g_inv, order=out_order
         )
         labels.extend(j_labels)
         values.extend(j_values)
 
     if max_order >= 3:
-        frame_order = min(j.order for j in base)
         try:
-            frame = tresse_frame(
-                [j.truncate(frame_order) for j in base],
-                rel_tol=frame_rel_tol,
-                abs_floor=frame_abs_floor,
-            )
+            frame = tresse_frame(base, rel_tol=frame_rel_tol, abs_floor=frame_abs_floor)
         except SingularFrameError as exc:
             warnings.append(
                 f"SingularFrame: base invariant Jacobian has rank {exc.rank}; "
                 f"higher-order blocks omitted"
             )
-            frame = None
-        if frame is not None:
+        else:
             for k in range(3, max_order + 1):
                 h_labels, h_values = higher_invariants(
                     curv, frame, curv.ricci_op, k,
@@ -429,7 +419,6 @@ def invariant_sample(
                 labels.extend(h_labels)
                 values.extend(h_values)
 
-    values = [v.truncate(out_order) if v.order > out_order else v for v in values]
     iv = InvariantVector(
         labels=tuple(labels),
         values=tuple(values),
@@ -446,13 +435,7 @@ def invariant_vector(
     max_order: int = 2,
     with_gradients: bool = False,
     s_range: int = 1,
-    a_power_max: int | None = None,
-    frame_rel_tol: float = DEFAULT_FRAME_RTOL,
-    frame_abs_floor: float = DEFAULT_FRAME_FLOOR,
 ) -> InvariantVector:
     """Concatenated invariant blocks up to `max_order` at one point."""
-    iv, _ = invariant_sample(
-        spec, point, max_order, with_gradients, s_range, a_power_max,
-        frame_rel_tol, frame_abs_floor,
-    )
+    iv, _ = invariant_sample(spec, point, max_order, with_gradients, s_range)
     return iv

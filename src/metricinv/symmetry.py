@@ -13,7 +13,7 @@ pseudo-Riemannian and all invariants vanish while the curvature does not
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, inf
+from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -34,18 +34,17 @@ from .invariants import (
 from .metriclang import MetricSpec
 
 VANISHING_TOL = 1e-8
+# largest invariant-gradient norm that `homogeneous_test` reads as constant
+HOMOGENEOUS_GRAD_TOL = 1e-7
 
 
 def invariant_jacobian(
     spec: MetricSpec,
     point: Sequence[float],
     max_order: int = 2,
-    s_range: int = 1,
 ) -> np.ndarray:
     """Matrix of invariant gradients: rows invariants, columns coordinates."""
-    iv, _ = invariant_sample(
-        spec, point, max_order=max_order, with_gradients=True, s_range=s_range
-    )
+    iv, _ = invariant_sample(spec, point, max_order=max_order, with_gradients=True)
     return iv.jacobian()
 
 
@@ -98,18 +97,21 @@ def homogeneity(
     seed: int = 0,
     rel_tol: float = DEFAULT_FRAME_RTOL,
     abs_floor: float = DEFAULT_FRAME_FLOOR,
-    s_range: int = 1,
 ) -> RankReport:
     """Estimate the symmetry-orbit dimension of a metric over a box.
 
     Draws `n_samples` points deterministically from `seed`, computes the
     invariant Jacobian at each (skipping chart singularities), and infers
-    homogeneity n - m from the consensus rank m. Raises ValueError unless
-    0 < rel_tol < 1 and 0 <= abs_floor < inf (NaN fails both).
+    homogeneity n - m from the consensus rank m. `rel_tol` and `abs_floor`
+    decide both that rank and the rank of each point's Tresse frame.
+    Raises ValueError unless n_samples >= 1, 0 < rel_tol < 1 and
+    0 <= abs_floor < inf (NaN fails both).
     """
     n = spec.dim
     if len(box) != n:
         raise ValueError(f"box has {len(box)} axes for dimension {n}")
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample point, got {n_samples}")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie strictly between 0 and 1, got {rel_tol!r}")
     if not 0.0 <= abs_floor < inf:
@@ -127,7 +129,7 @@ def homogeneity(
         try:
             iv, curv = invariant_sample(
                 spec, point, max_order=max_order, with_gradients=True,
-                s_range=s_range,
+                frame_rel_tol=rel_tol, frame_abs_floor=abs_floor,
             )
         except (DomainError, SingularMetricError) as exc:
             skipped.append((point, f"{type(exc).__name__}: {exc}"))
@@ -197,29 +199,23 @@ class HomogeneityVerdict:
 def homogeneous_test(
     spec: MetricSpec,
     box: Sequence[tuple[float, float]],
-    order_bound: int | None = None,
+    order_bound: int = 3,
     n_samples: int = 20,
     seed: int = 0,
-    grad_tol: float = 1e-7,
-    order_cap: int = 3,
 ) -> HomogeneityVerdict:
     """Local homogeneity check: are all invariants constant over the box?
 
     The theoretical bound needs invariants up to derivative order C(n,2),
-    i.e. invariant order C(n,2) + 2; that is capped by `order_cap` for
-    cost (override `order_bound` to push further). For Riemannian
-    signature constancy is equivalent to local homogeneity; for
-    pseudo-Riemannian input the verdict is only a necessary condition and
-    is flagged as such.
+    i.e. invariant order C(n,2) + 2: 3 for n = 2, more above. The default
+    `order_bound` of 3 caps it there for cost. For Riemannian signature
+    constancy is equivalent to local homogeneity; for pseudo-Riemannian
+    input the verdict is only a necessary condition and is flagged as such.
     """
-    n = spec.dim
-    if order_bound is None:
-        order_bound = min(comb(n, 2) + 2, order_cap)
     report = homogeneity(
         spec, box, n_samples=n_samples, max_order=order_bound, seed=seed
     )
     return HomogeneityVerdict(
-        homogeneous=report.gradient_max <= grad_tol,
+        homogeneous=report.gradient_max <= HOMOGENEOUS_GRAD_TOL,
         necessary_condition_only=not spec.is_riemannian,
         order_bound=order_bound,
         max_gradient=report.gradient_max,

@@ -101,6 +101,50 @@ def test_missing_metric_file_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, flag, text, coord", [
+    ("curvature", "--point", "x=1,x=2,y=0", "x"),
+    ("curvature", "--point", "x=inf,y=0", "x"),
+    ("curvature", "--point", "x=1,y=nan", "y"),
+    ("homogeneity", "--box", "x=0:3,y=0:3,y=1:2", "y"),
+    ("homogeneity", "--box", "x=0:inf,y=0:3", "x"),
+    ("homogeneity", "--box", "x=0:3,y=-nan:3", "y"),
+])
+def test_point_and_box_reject_repeated_and_non_finite(
+    capsys, metric_files, command, flag, text, coord
+):
+    argv = [command, "--metric", metric_files["revolution"], flag, text]
+    if command == "homogeneity":
+        argv += ["--seed", "5"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"{coord!r}" in err
+
+
+def test_directory_as_metric_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(
+        capsys, "curvature", "--metric", str(tmp_path), "--point", "x=1,y=0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "input error" in err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["homogeneity", "--box", "x=0:3,y=0:3", "--seed", "5", "--samples", "0"], "sample"),
+    (["count", "--dim", "3", "--max-k", "-2"], "max-k"),
+    (["poincare", "--dim", "3", "--expand", "-1"], "k_max"),
+    (["invariants", "--point", "x=1,y=0.5", "--a-power-range", "-1"], "power of A"),
+])
+def test_out_of_range_counts_exit_2(capsys, metric_files, argv, name):
+    if argv[0] in ("homogeneity", "invariants"):
+        argv = argv[:1] + ["--metric", metric_files["revolution"]] + argv[1:]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert name in err
+
+
 def test_invariants_command_emits_partial_on_homogeneous(capsys, metric_files):
     doc = run_json(
         capsys, "invariants", "--metric", metric_files["sphere2"],

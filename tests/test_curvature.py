@@ -321,6 +321,19 @@ def test_order_bookkeeping():
         covariant_derivative(cp.nabla_r[2], cp.gamma)
 
 
+def test_nabla_r_is_bitwise_the_covariant_derivative_chain():
+    rng = np.random.default_rng(43)
+    spec = parse_metric(random_polynomial_metric_text(3, rng))
+    cp = curvature_point(spec, tuple(rng.uniform(-0.4, 0.4, 3)), 4)
+    chain = [cp.riemann_lower]
+    for _ in range(2):
+        chain.append(covariant_derivative(chain[-1], cp.gamma))
+    assert len(cp.nabla_r) == len(chain)
+    for got, want in zip(cp.nabla_r, chain):
+        assert (got.variance, got.order) == (want.variance, want.order)
+        assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
 def test_riemann_against_symbolic_oracle():
     rng = np.random.default_rng(37)
     for _ in range(3):

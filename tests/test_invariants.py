@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from metricinv.counting import delta_count, s_count
+from metricinv import curvature
+from metricinv.counting import delta_count, s_count, weyl_trace_count
 from metricinv.curvature import curvature_point
 from metricinv.errors import SingularFrameError, UnsupportedDimensionError
 from metricinv.invariants import (
@@ -115,6 +116,20 @@ def test_weyl_trace_cyclic_identity():
     assert batch["J(0,2,2)"] == pytest.approx(t121, rel=1e-10)
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_weyl_traces_limit_is_a_bitwise_prefix(n):
+    rng = np.random.default_rng(60 + n)
+    spec = parse_metric(random_polynomial_metric_text(n, rng, scale=0.35))
+    cp = curvature_point(spec, tuple(rng.uniform(-0.3, 0.3, n)), 3)
+    args = (cp.ricci_op, cp.weyl, cp.g_inv)
+    full_labels, full_values = weyl_traces(*args, limit=90, order=1)
+    assert len(full_labels) == min(90, (2 * n + 1) * math.comb(n, 2))
+    for limit in (0, 1, 7, weyl_trace_count(n), 40):
+        labels, values = weyl_traces(*args, limit=limit, order=1)
+        assert labels == full_labels[:limit]
+        assert [v.c.tobytes() for v in values] == [v.c.tobytes() for v in full_values[:limit]]
+
+
 def test_tresse_frame_singular_on_sphere(sphere2):
     cp = curvature_point(sphere2, (1.1, 0.4), 5)
     base = surface_invariant_pair(cp)
@@ -173,6 +188,52 @@ def test_higher_invariants_vanish_flat(flat3):
     cp = curvature_point(flat3, (0.0, 0.0, 0.0), 3)
     _, values = higher_invariants(cp, _unit_frame(3, 2), cp.ricci_op, 3)
     assert np.max(np.abs([v.value for v in values])) < 1e-14
+
+
+def test_higher_invariants_match_explicit_contraction():
+    """H{k}[i..|s..|j..] is nabla^{k-2} R with frame vector i on each
+    derivative slot and A^s applied to frame vector j on each curvature slot."""
+    spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
+    cp = curvature_point(spec, (0.3, -0.1, 0.2), 4)
+    frame = tresse_frame(ricci_traces(cp.ricci_op))
+    f = frame.frame.values()  # f[m, i]: m-th component of frame vector i
+    a = cp.ricci_op.values()
+    for k in (3, 4):
+        labels, values = higher_invariants(cp, frame, cp.ricci_op, k)
+        assert len(labels) == 3 ** (k - 2) * 6**4
+        t = cp.nabla_r[k - 2].values()
+        expected = []
+        for label in labels:
+            iword, sword, jword = label[len("H3["):-1].split("|")
+            vectors = [f[:, int(i) - 1] for i in iword] + [
+                np.linalg.matrix_power(a, int(s)) @ f[:, int(j) - 1]
+                for s, j in zip(sword, jword)
+            ]
+            x = t
+            for v in vectors:
+                x = np.tensordot(v, x, axes=(0, 0))
+            expected.append(float(x))
+        expected = np.array(expected)
+        got = np.array([v.value for v in values])
+        assert np.max(np.abs(expected)) > 1e-3  # a non-degenerate check
+        assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
+
+
+def test_singular_frame_never_builds_nabla_r(monkeypatch, flat3):
+    calls = []
+    original = curvature.covariant_derivative
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(curvature, "covariant_derivative", counted)
+    iv = invariant_vector(flat3, (0.5, -0.5, 0.25), max_order=3)
+    assert iv.warnings and not calls
+    # a regular frame does read nabla R, so the counter is live
+    spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(7)))
+    iv = invariant_vector(spec, (0.3, -0.2, 0.4), max_order=3)
+    assert not iv.warnings and len(calls) == 1
 
 
 def _jet_coefficient_metric(theta, monos, n=3):

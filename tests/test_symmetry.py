@@ -196,6 +196,18 @@ def test_homogeneous_test_flags_pseudo_riemannian(ppwave):
     assert not riem.necessary_condition_only
 
 
+def test_homogeneity_rel_tol_governs_the_tresse_frame():
+    spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(7)))
+    box = [(0.2, 0.4), (-0.3, -0.1), (0.3, 0.5)]
+
+    def frame_warnings(**tol):
+        report = homogeneity(spec, box, n_samples=2, max_order=3, seed=1, **tol)
+        return [w for w in report.warnings if "SingularFrame" in w]
+
+    assert frame_warnings() == []
+    assert frame_warnings(rel_tol=0.9)
+
+
 def test_box_validation(sphere2):
     with pytest.raises(ValueError):
         homogeneity(sphere2, [(0.5, 2.5)], seed=1)
