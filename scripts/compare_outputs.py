@@ -12,7 +12,9 @@ root's `src/`, and `perfbench/` for the workload inputs:
   `--max-order 4`, and `homogeneity --samples 6 --max-order 3 --seed 7`
   on every file in `metrics/`: exit code, JSON report without
   `wall_time_s`, and stderr;
-- tower3d ops 0-3 of seeds 11 and 7919: labels, values and Jacobian;
+- tower3d ops 0-3 of seeds 11 and 7919, then `invariant_vector` on the
+  input of op 0 with `s_range` 0 and 2 (the workload's is 1): labels,
+  values, Jacobian and the full coefficient array of every Jet;
 - survey4d ops 0-39 of seeds 11 and 7919: the whole `RankReport`.
 
 Floats are compared through their shortest repr, which round-trips
@@ -33,6 +35,7 @@ from pathlib import Path
 
 SEEDS = (11, 7919)
 TOWER_OPS = range(4)
+TOWER_S_RANGES = (0, 2)  # the workload runs s_range 1
 SURVEY_OPS = range(40)
 # One point inside each bundled metric's chart, and a sampling box (the
 # boxes of scripts/symmetry_survey.py).
@@ -81,20 +84,34 @@ def _cli_probes(cli):
             yield " ".join(argv[:3] + argv[5:]), run
 
 
+def _invariant_doc(iv):
+    return {
+        "labels": list(iv.labels),
+        "values": iv.values_array().tolist(),
+        "jacobian": iv.jacobian().tolist(),
+        "coeffs": [v.c.tolist() for v in iv.values],
+        "warnings": list(iv.warnings),
+    }
+
+
 def _workload_probes(workloads, root):
     for seed in SEEDS:
         tower = workloads.Tower3d(seed, root)
         for op in TOWER_OPS:
             def run(tower=tower, op=op):
                 _, iv = tower.run(tower.inputs(op))
-                return {
-                    "labels": list(iv.labels),
-                    "values": iv.values_array().tolist(),
-                    "jacobian": iv.jacobian().tolist(),
-                    "warnings": list(iv.warnings),
-                }
+                return _invariant_doc(iv)
 
             yield f"tower3d seed {seed} op {op}", run
+        for s_range in TOWER_S_RANGES:
+            def run(tower=tower, s_range=s_range):
+                inp = tower.inputs(0)
+                spec = workloads.metriclang.parse_metric(inp.text)
+                return _invariant_doc(workloads.invariants.invariant_vector(
+                    spec, inp.point, max_order=4, with_gradients=True, s_range=s_range,
+                ))
+
+            yield f"tower3d seed {seed} op 0 s_range {s_range}", run
         survey = workloads.Survey4d(seed, root)
         for op in SURVEY_OPS:
             def run(survey=survey, op=op):

@@ -136,6 +136,8 @@ def cmd_curvature(args) -> Report:
     spec, digest = _load_metric(args.metric)
     point = _parse_point(args.point, spec)
     order = args.order if args.order is not None else 2
+    if order < 2:
+        raise ValueError(f"--order must be >= 2, got {order}")
     report = Report(
         command="curvature",
         parameters={
@@ -319,15 +321,16 @@ def render_text(report: Report) -> str:
 
 
 def emit(report: Report, fmt: str, stream=None) -> None:
+    """Write the report; raise DomainError, writing nothing, if it holds NaN or infinity."""
     stream = stream if stream is not None else sys.stdout
+    try:
+        doc = json.dumps(report.to_dict(), indent=2, allow_nan=False)
+    except ValueError:
+        raise DomainError(f"the {report.command} report holds a non-finite number") from None
     if fmt == "auto":
         fmt = "text" if stream.isatty() else "json"
-    if fmt == "json":
-        json.dump(report.to_dict(), stream, indent=2)
-        stream.write("\n")
-    else:
-        stream.write(render_text(report))
-        stream.write("\n")
+    stream.write(doc if fmt == "json" else render_text(report))
+    stream.write("\n")
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -401,8 +404,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         report = args.func(args)
     except _DOMAIN_ERRORS as exc:
-        print(f"metricinv: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _domain_exit(exc)
     except (MetricLangError, OSError, ValueError) as exc:
         print(f"metricinv: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -410,8 +412,16 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"metricinv: internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     report.wall_time_s = time.perf_counter() - start
-    emit(report, args.format)
+    try:
+        emit(report, args.format)
+    except DomainError as exc:  # a non-finite number, found before anything is written
+        return _domain_exit(exc)
     return EXIT_OK
+
+
+def _domain_exit(exc: Exception) -> int:
+    print(f"metricinv: {type(exc).__name__}: {exc}", file=sys.stderr)
+    return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

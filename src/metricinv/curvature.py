@@ -42,7 +42,7 @@ from .errors import (
 from .jets import Jet, _context, _JetContext, apply_fn, cauchy_product, contract, partials
 from .metriclang import MetricSpec, eval_expr
 
-SINGULAR_DET_RTOL = 1e-10
+SINGULAR_RTOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -144,18 +144,20 @@ def metric_at(
     const = g.values()
     if not np.all(np.isfinite(const)):
         raise DomainError(f"metric component not finite at point {tuple(point)}")
-    scale = max(float(np.max(np.abs(const))), 1e-300)
-    det = float(np.linalg.det(const))
-    try:
-        threshold = SINGULAR_DET_RTOL * scale**n
-    except OverflowError:
-        raise DomainError(
-            f"metric components of size {scale:.3e} leave the floating-point "
-            f"range at point {tuple(point)}"
-        ) from None
-    if abs(det) < threshold:
+    # D^{-1/2} g D^{-1/2} with D = |diag g| does not change when a coordinate
+    # is rescaled; a null coordinate (g_ii = 0) gives no scale, so fall back to g
+    diag = np.abs(np.diag(const))
+    if np.all(diag > 0):
+        inv_sqrt = 1.0 / np.sqrt(diag)
+        scaled = const * inv_sqrt[:, None] * inv_sqrt[None, :]
+    else:
+        scaled = const / max(float(np.max(np.abs(const))), 1e-300)
+    sv = np.linalg.svd(scaled, compute_uv=False)
+    if not sv[-1] > SINGULAR_RTOL * sv[0]:
         raise SingularMetricError(
-            f"|det g| = {abs(det):.3e} below threshold at point {tuple(point)}"
+            f"smallest singular value {sv[-1]:.3e} of the scaled metric is not "
+            f"above {SINGULAR_RTOL:g} times the largest, {sv[0]:.3e}, at point "
+            f"{tuple(point)}"
         )
     inv = _jet_matrix_inverse(g.coeffs, g.ctx)
     return g, TensorComponents(("u", "u"), n, order, inv)
@@ -317,9 +319,22 @@ class CurvaturePoint:
     def nabla_r(self) -> tuple[TensorComponents, ...]:
         """nabla^s R_lower for s = 0..s_max."""
         nabla = [self.riemann_lower]
-        for _ in range(self.s_max):
-            nabla.append(covariant_derivative(nabla[-1], self.gamma))
+        for s in range(1, self.s_max + 1):
+            with np.errstate(over="ignore", invalid="ignore"):
+                nabla.append(covariant_derivative(nabla[-1], self.gamma))
+            _require_finite(self.point, **{f"nabla^{s} R": nabla[-1].coeffs})
         return tuple(nabla)
+
+
+def _require_finite(point: Sequence[float], **tensors: np.ndarray) -> None:
+    """Raise DomainError naming the first tensor with a non-finite jet coefficient."""
+    for name, coeffs in tensors.items():
+        if not np.all(np.isfinite(coeffs)):
+            raise DomainError(
+                f"{name} has a non-finite jet coefficient at point "
+                f"{tuple(map(float, point))}: "
+                f"the computation left the floating-point range"
+            )
 
 
 def curvature_point(
@@ -332,7 +347,8 @@ def curvature_point(
 
     nabla^s R is computable iff s <= order - 2; `s_max` defaults to that
     bound and larger requests are rejected. The derivatives themselves
-    are computed when `nabla_r` is first read.
+    are computed when `nabla_r` is first read. A non-finite jet coefficient
+    in any tensor, here or in nabla^s R, raises DomainError.
     """
     if order < 2:
         raise InsufficientOrderError("curvature needs metric jets of order >= 2")
@@ -343,12 +359,27 @@ def curvature_point(
         raise InsufficientOrderError(
             f"nabla^{s_max} R needs metric jets of order >= {s_max + 2}, got {order}"
         )
-    g, g_inv = metric_at(spec, point, order)
-    gamma = christoffel(g, g_inv)
-    r_lower, r_mixed = riemann(gamma, g)
-    ric, scal = ricci(r_mixed, g_inv)
-    a_op = ricci_operator(g_inv, ric)
-    w = weyl(g, ric, scal, r_lower) if spec.dim >= 3 else None
+    # overflow and NaN are not warned about where they arise: _require_finite
+    # turns them into a DomainError once the tensors are built
+    with np.errstate(over="ignore", invalid="ignore"):
+        g, g_inv = metric_at(spec, point, order)
+        gamma = christoffel(g, g_inv)
+        r_lower, r_mixed = riemann(gamma, g)
+        ric, scal = ricci(r_mixed, g_inv)
+        a_op = ricci_operator(g_inv, ric)
+        w = weyl(g, ric, scal, r_lower) if spec.dim >= 3 else None
+    _require_finite(
+        point,
+        g=g.coeffs,
+        g_inv=g_inv.coeffs,
+        Gamma=gamma.coeffs,
+        Riemann=r_mixed.coeffs,
+        R_lower=r_lower.coeffs,
+        Ricci=ric.coeffs,
+        scalar=scal.c,
+        A=a_op.coeffs,
+        Weyl=np.zeros(0) if w is None else w.coeffs,
+    )
     return CurvaturePoint(
         point=tuple(float(x) for x in point),
         n=spec.dim,

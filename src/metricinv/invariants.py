@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -284,6 +285,10 @@ def higher_invariants(
     Labels read H{k}[derivative word | s word | frame word] with 1-based
     frame indices. Every input is truncated to the output order (0, or 1
     with gradients) before the contractions.
+
+    The values are the rows of the one contracted block, so each Jet's
+    `c` is a view of its row. The labels depend on (n, k, s_range) only
+    and are built once per key; the list returned is a fresh copy.
     """
     if k < 3:
         raise ValueError("higher invariants start at order 3")
@@ -313,7 +318,13 @@ def higher_invariants(
     for vectors in [f] * (k - 2) + [w] * 4:
         val = contract(np.moveaxis(val, 0, -2), vectors, ctx)
 
-    # labels in the row-major order of val's index axes
+    values = [Jet(n, out_order, row) for row in val.reshape(-1, ctx.size)]
+    return list(_higher_labels(n, k, s_range)), values
+
+
+@lru_cache(maxsize=None)
+def _higher_labels(n: int, k: int, s_range: int) -> tuple[str, ...]:
+    """Labels of `higher_invariants` in the row-major order of its index axes."""
     digits = [str(i + 1) for i in range(n)]
     iwords = ["".join(word) for word in itertools.product(digits, repeat=k - 2)]
     slots = [(str(s), j) for s in range(s_range + 1) for j in digits]  # in column order
@@ -321,9 +332,7 @@ def higher_invariants(
         "".join(s for s, _ in word) + "|" + "".join(j for _, j in word)
         for word in itertools.product(slots, repeat=4)
     ]
-    labels = [f"H{k}[{iword}|{sword}]" for iword in iwords for sword in swords]
-    values = [Jet(n, out_order, row) for row in val.reshape(-1, ctx.size)]
-    return labels, values
+    return tuple(f"H{k}[{iword}|{sword}]" for iword in iwords for sword in swords)
 
 
 # -- the assembled invariant vector -------------------------------------------------

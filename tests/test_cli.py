@@ -1,13 +1,17 @@
 """CLI surface: reports, exit codes, determinism, JSON/text consistency."""
 
+import io
 import json
 import re
 
 import pytest
 
 from metricinv.cli import main
+from metricinv.cli import Report, emit
+from metricinv.errors import DomainError
 
 from conftest import PPWAVE, REVOLUTION, SPHERE2
+from conftest import METRICS_DIR
 
 pytestmark = pytest.mark.usefixtures("metric_files")
 
@@ -85,6 +89,76 @@ def test_curvature_singular_point_exit_3(capsys, metric_files, tmp_path):
         )
         assert code == 3
         assert "DomainError" in err
+
+
+# Components near 1e-150: the jet inverse of g overflows at jet order 3.
+TINY = """
+dim = 2
+coords = [x, y]
+g[1,1] = 1e-150 * exp(x*y)
+g[1,2] = 0
+g[2,2] = 1e-150 * exp(3*y) * (2 + sin(x))
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["curvature", "--order", "3"],
+    ["invariants", "--max-order", "3"],
+])
+def test_non_finite_results_exit_3(capsys, tmp_path, argv):
+    path = tmp_path / "tiny.metric"
+    path.write_text(TINY)
+    code, out, err = run_cli(
+        capsys, argv[0], "--metric", str(path), "--point", "x=0.5,y=0.3",
+        *argv[1:], "--format", "json",
+    )
+    assert code == 3
+    assert out == ""
+    assert "DomainError" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("number", [float("nan"), float("inf"), -float("inf")])
+def test_emit_writes_no_non_finite_number(fmt, number):
+    report = Report("curvature", {"order": 2}, results={"scalar_curvature": number})
+    stream = io.StringIO()
+    with pytest.raises(DomainError):
+        emit(report, fmt, stream)
+    assert stream.getvalue() == ""
+
+
+def test_failed_write_is_not_an_input_error(monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout", ClosedPipe())
+    with pytest.raises(BrokenPipeError):
+        main(["count", "--dim", "3", "--max-k", "4", "--format", "json"])
+
+
+@pytest.mark.parametrize("order", ["1", "0", "-3"])
+def test_curvature_order_below_two_exit_2(capsys, metric_files, order):
+    code, out, err = run_cli(
+        capsys, "curvature", "--metric", metric_files["sphere2"],
+        "--point", "x=1,y=0", "--order", order,
+    )
+    assert code == 2
+    assert out == ""
+    assert "input error" in err and "--order" in err
+
+
+def test_badly_scaled_metrics_exit_0(capsys, tmp_path):
+    path = tmp_path / "wide.metric"
+    for size in (1e12, 1e200):
+        path.write_text(f"dim=2; coords=[x,y]; g[1,1]=1; g[2,2]={size!r}\n")
+        doc = run_json(capsys, "curvature", "--metric", str(path), "--point", "x=0,y=0")
+        assert doc["results"]["g"] == [[1.0, 0.0], [0.0, size]]
+    doc = run_json(
+        capsys, "curvature", "--metric", str(METRICS_DIR / "schwarzschild.metric"),
+        "--point", "t=0,r=300,th=1,ph=0.5",
+    )
+    assert doc["results"]["g"][1][1] == pytest.approx(1 / (1 - 2 / 300), rel=1e-15)
 
 
 def test_curvature_bad_point_exit_2(capsys, metric_files):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from metricinv import curvature
 from metricinv.curvature import (
     TensorComponents,
     christoffel,
@@ -18,14 +19,17 @@ from metricinv.curvature import (
     weyl,
 )
 from metricinv.errors import (
+    DomainError,
     InsufficientOrderError,
     SingularMetricError,
     UnsupportedDimensionError,
 )
 from metricinv.jets import Jet
 from metricinv.metriclang import eval_expr, parse_expression, parse_metric
+from metricinv.metriclang import pullback_metric
 
 from conftest import (
+    METRICS_DIR,
     SCHWARZSCHILD,
     SPHERE2,
     flat_metric_text,
@@ -70,6 +74,57 @@ def test_metric_at_degenerate_point():
     spec = parse_metric("dim=2; coords=[x,y]; g[1,1]=x; g[2,2]=1")
     with pytest.raises(SingularMetricError):
         metric_at(spec, (0.0, 0.0), 2)
+
+
+# A regular point of each file in metrics/, and where the chart has them,
+# points where the metric degenerates (sin x = 0, sin th = 0).
+SCALING_POINTS = {
+    "flat2": [(0.3, -0.2)],
+    "flat3": [(0.3, -0.2, 0.5)],
+    "hyperbolic2": [(0.3, 1.2)],
+    "ppwave": [(0.1, 0.5, 0.7, 0.3), (0.1, 0.5, 0.7, 0.7)],
+    "revolution": [(0.9, 0.3)],
+    "schwarzschild": [(0.0, 3.0, 1.0, 0.5), (0.0, 300.0, 1.0, 0.5), (0.0, 3.0, 0.0, 0.5)],
+    "sphere2": [(1.1, 0.4), (0.0, 0.4)],
+    "sphere3": [(1.1, 0.8, 0.3), (0.0, 0.8, 0.3), (1.1, 0.0, 0.3)],
+}
+
+
+def _metric_at_outcome(spec, point):
+    try:
+        metric_at(spec, point, 1)
+    except SingularMetricError:
+        return "singular"
+    return "regular"
+
+
+def test_metric_at_accepts_badly_scaled_charts():
+    for size in ("1e12", "1e200"):
+        wide = parse_metric(f"dim=2; coords=[x,y]; g[1,1]=1; g[2,2]={size}")
+        assert _metric_at_outcome(wide, (0.0, 0.0)) == "regular", size
+    schwarzschild = parse_metric((METRICS_DIR / "schwarzschild.metric").read_text())
+    assert _metric_at_outcome(schwarzschild, (0.0, 300.0, 1.0, 0.5)) == "regular"
+
+
+def test_metric_at_verdict_survives_rescaling_a_coordinate():
+    """x_i -> lam * x_i multiplies row and column i of g by lam; whether g is
+    degenerate must not depend on it."""
+    assert sorted(path.stem for path in METRICS_DIR.glob("*.metric")) == sorted(SCALING_POINTS)
+    verdicts = set()
+    for name, points in SCALING_POINTS.items():
+        spec = parse_metric((METRICS_DIR / f"{name}.metric").read_text())
+        for point in points:
+            verdict = _metric_at_outcome(spec, point)
+            verdicts.add(verdict)
+            for i, lam in itertools.product(range(spec.dim), (1e-3, 1e3)):
+                phi = [
+                    parse_expression(f"{lam!r}*{c}" if j == i else c, spec.coords)
+                    for j, c in enumerate(spec.coords)
+                ]
+                moved = tuple(x / lam if j == i else x for j, x in enumerate(point))
+                scaled = _metric_at_outcome(pullback_metric(spec, phi), moved)
+                assert scaled == verdict, f"{name} at {point}, x{i} * {lam:g}"
+    assert verdicts == {"regular", "singular"}
 
 
 def test_metric_inverse_is_jet_level(sphere2):
@@ -332,6 +387,19 @@ def test_nabla_r_is_bitwise_the_covariant_derivative_chain():
     for got, want in zip(cp.nabla_r, chain):
         assert (got.variance, got.order) == (want.variance, want.order)
         assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def test_nabla_r_rejects_non_finite_coefficients(monkeypatch, sphere2):
+    cp = curvature_point(sphere2, S2_POINT, 3)
+    original = curvature.covariant_derivative
+
+    def overflowing(t, gamma):
+        out = original(t, gamma)
+        return TensorComponents(out.variance, out.n, out.order, np.full_like(out.coeffs, np.inf))
+
+    monkeypatch.setattr(curvature, "covariant_derivative", overflowing)
+    with pytest.raises(DomainError, match="nabla"):
+        cp.nabla_r
 
 
 def test_riemann_against_symbolic_oracle():

@@ -1,5 +1,6 @@
 """Trace invariants, Weyl operators, Tresse frame, higher-order contractions."""
 
+import itertools
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from metricinv.invariants import (
     weyl_operator_trace,
     weyl_traces,
 )
+from metricinv.jets import Jet
 from metricinv.metriclang import eval_expr, parse_expression, parse_metric, pullback_metric
 from metricinv.symmetry import numerical_rank
 
@@ -217,6 +219,69 @@ def test_higher_invariants_match_explicit_contraction():
         got = np.array([v.value for v in values])
         assert np.max(np.abs(expected)) > 1e-3  # a non-degenerate check
         assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
+
+
+@pytest.fixture(scope="module")
+def regular_frame_point():
+    """A generic 3-metric at jet order 5 with its Tresse frame: enough for
+    H3 and H4 with gradients."""
+    spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
+    cp = curvature_point(spec, (0.3, -0.1, 0.2), 5)
+    return cp, tresse_frame(ricci_traces(cp.ricci_op))
+
+
+@pytest.mark.parametrize("k, with_gradients", [(3, False), (3, True), (4, True)])
+def test_higher_invariants_are_the_jets_of_their_rows(regular_frame_point, k, with_gradients):
+    cp, frame = regular_frame_point
+    out_order = int(with_gradients)
+    _, values = higher_invariants(cp, frame, cp.ricci_op, k, with_gradients=with_gradients)
+    base = values[0].c.base
+    assert base is not None
+    for v in values:
+        ref = Jet(3, out_order, v.c)
+        assert v.ctx is ref.ctx
+        assert v.c.dtype == ref.c.dtype and v.c.tobytes() == ref.c.tobytes()
+        assert v.c.base is base  # a view of its row of one block, not a copy
+
+
+def _explicit_higher_labels(n, k, s_range):
+    labels = []
+    for iword in itertools.product(range(1, n + 1), repeat=k - 2):
+        slots = itertools.product(range(s_range + 1), range(1, n + 1))
+        for word in itertools.product(list(slots), repeat=4):
+            i_text = "".join(str(i) for i in iword)
+            s_text = "".join(str(s) for s, _ in word)
+            j_text = "".join(str(j) for _, j in word)
+            labels.append(f"H{k}[{i_text}|{s_text}|{j_text}]")
+    return labels
+
+
+@pytest.mark.parametrize("s_range", [0, 1, 2])
+def test_higher_invariant_labels_are_built_per_label_and_copied(regular_frame_point, s_range):
+    cp, frame = regular_frame_point
+    for k in (3, 4):
+        expected = _explicit_higher_labels(3, k, s_range)
+        labels, values = higher_invariants(cp, frame, cp.ricci_op, k, s_range=s_range)
+        assert labels == expected and len(values) == len(expected)
+        labels[0] = "changed"
+        labels.append("extra")
+        again, _ = higher_invariants(cp, frame, cp.ricci_op, k, s_range=s_range)
+        assert again == expected
+
+
+def test_higher_invariant_jets_behave_as_jets(regular_frame_point):
+    cp, frame = regular_frame_point
+    _, values = higher_invariants(cp, frame, cp.ricci_op, 3, with_gradients=True)
+    v, w = values[5], values[17]
+    with pytest.raises(AttributeError):
+        v.c = np.zeros(4)
+    with pytest.raises(AttributeError):
+        setattr(v, "ctx", w.ctx)
+    v_ref, w_ref = Jet(3, 1, v.c.copy()), Jet(3, 1, w.c.copy())
+    assert v == v_ref and v != w
+    assert (v * w).c.tobytes() == (v_ref * w_ref).c.tobytes()
+    assert v.truncate(0) == Jet(3, 0, v.c[:1].copy())
+    assert v.truncate(1) is v
 
 
 def test_singular_frame_never_builds_nabla_r(monkeypatch, flat3):
