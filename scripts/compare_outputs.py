@@ -12,6 +12,8 @@ root's `src/`, and `perfbench/` for the workload inputs:
   `--max-order 4`, and `homogeneity --samples 6 --max-order 3 --seed 7`
   on every file in `metrics/`: exit code, JSON report without
   `wall_time_s`, and stderr;
+- the CLI `poincare --expand 24` and `count --max-k 24` for n = 2..32,
+  compared the same way;
 - tower3d ops 0-3 of seeds 11 and 7919, then `invariant_vector` on the
   input of op 0 with `s_range` 0 and 2 (the workload's is 1): labels,
   values, Jacobian and the full coefficient array of every Jet;
@@ -37,6 +39,8 @@ SEEDS = (11, 7919)
 TOWER_OPS = range(4)
 TOWER_S_RANGES = (0, 2)  # the workload runs s_range 1
 SURVEY_OPS = range(40)
+COUNT_DIMS = range(2, 33)  # the dimensions and orders the counts workload draws
+COUNT_K = 24
 # One point inside each bundled metric's chart, and a sampling box (the
 # boxes of scripts/symmetry_survey.py).
 POINTS = {
@@ -61,6 +65,19 @@ BOXES = {
 }
 
 
+def _cli_run(cli, argv):
+    def run():
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv + ["--format", "json"])
+        doc = json.loads(out.getvalue()) if out.getvalue() else None
+        if doc is not None:
+            doc.pop("wall_time_s")
+        return {"exit": code, "report": doc, "stderr": err.getvalue()}
+
+    return run
+
+
 def _cli_probes(cli):
     for name in sorted(POINTS):
         path = f"metrics/{name}.metric"
@@ -72,16 +89,13 @@ def _cli_probes(cli):
             ["homogeneity", "--metric", path, "--box", box,
              "--samples", "6", "--max-order", "3", "--seed", "7"],
         ):
-            def run(argv=argv):
-                out, err = io.StringIO(), io.StringIO()
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = cli.main(argv + ["--format", "json"])
-                doc = json.loads(out.getvalue()) if out.getvalue() else None
-                if doc is not None:
-                    doc.pop("wall_time_s")
-                return {"exit": code, "report": doc, "stderr": err.getvalue()}
-
-            yield " ".join(argv[:3] + argv[5:]), run
+            yield " ".join(argv[:3] + argv[5:]), _cli_run(cli, argv)
+    for n in COUNT_DIMS:
+        for argv in (
+            ["poincare", "--dim", str(n), "--expand", str(COUNT_K)],
+            ["count", "--dim", str(n), "--max-k", str(COUNT_K)],
+        ):
+            yield " ".join(argv), _cli_run(cli, argv)
 
 
 def _invariant_doc(iv):

@@ -3,8 +3,9 @@
 Everything here is integer/rational arithmetic; no floating point. s_count
 gives the number of independent invariants of order <= k, delta_count the
 number of pure order k, and poincare(n) the rational generating function
-of the delta sequence. The generating function of the cumulative counts is
-poincare(n) / (1 - z).
+of the delta sequence. Both generating functions are stated in closed form,
+N_n(z) / (1 - z)^n for the delta counts and N_n(z) / (1 - z)^(n+1) for the
+cumulative counts, and stored reduced by `RationalFunction.make`.
 """
 
 from __future__ import annotations
@@ -22,12 +23,6 @@ def _trim(p: list[int]) -> list[int]:
     while len(p) > 1 and p[-1] == 0:
         p.pop()
     return p
-
-
-def _padd(a, b):
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                  for i in range(n)])
 
 
 def _pneg(a):
@@ -108,53 +103,27 @@ def _pdivexact(a: list[int], b: list[int]) -> list[int]:
     return _trim([int(f) for f in out])
 
 
-def _zval(a: list[int]) -> int:
-    """Multiplicity of the factor z."""
-    if _is_zero(a):
-        return 0
-    v = 0
-    while a[v] == 0:
-        v += 1
-    return v
-
-
 @dataclass(frozen=True)
 class RationalFunction:
-    """z**(-shift) * numerator(z) / denominator(z) with integer coefficients.
+    """numerator(z) / denominator(z) with integer coefficients.
 
-    Stored reduced: no common polynomial factor, no common z power between
-    the Laurent shift and the numerator/denominator, denominator with
-    positive leading coefficient and the integer content shared with the
-    numerator divided out. The explicit shift keeps genuinely Laurent
-    intermediates (the n/z terms of the order-count assembly)
-    representable before their cancellation is asserted.
+    Stored reduced: no common polynomial factor (a common power of z
+    included), denominator with positive leading coefficient, and the
+    integer content shared with the numerator divided out. A pole at
+    z = 0 shows as a denominator with zero constant term.
     """
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
-    shift: int = 0
 
     @staticmethod
-    def make(numerator, denominator, shift: int = 0) -> "RationalFunction":
+    def make(numerator, denominator) -> "RationalFunction":
         num = _trim([int(x) for x in numerator] or [0])
         den = _trim([int(x) for x in denominator] or [0])
         if _is_zero(den):
             raise ZeroDivisionError("rational function with zero denominator")
         if _is_zero(num):
-            return RationalFunction((0,), (1,), 0)
-        # pull z powers out of den into the shift, then cancel against num
-        vden = _zval(den)
-        if vden:
-            den = den[vden:]
-            shift += vden
-        vnum = _zval(num)
-        if vnum and shift > 0:
-            cancel = min(vnum, shift)
-            num = num[cancel:]
-            shift -= cancel
-        if shift < 0:
-            num = [0] * (-shift) + num
-            shift = 0
+            return RationalFunction((0,), (1,))
         g = _pgcd(num, den)
         if len(g) > 1 or g[0] != 1:
             num = _pdivexact(num, g)
@@ -165,58 +134,13 @@ class RationalFunction:
         if content > 1:
             num = [x // content for x in num]
             den = [x // content for x in den]
-        return RationalFunction(tuple(num), tuple(den), shift)
-
-    @staticmethod
-    def from_polynomial(coeffs) -> "RationalFunction":
-        return RationalFunction.make(coeffs, [1])
-
-    @property
-    def is_laurent(self) -> bool:
-        return self.shift > 0
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        s = max(self.shift, other.shift)
-        a = _pmul(list(self.numerator), [0] * (s - self.shift) + [1])
-        b = _pmul(list(other.numerator), [0] * (s - other.shift) + [1])
-        num = _padd(
-            _pmul(a, list(other.denominator)), _pmul(b, list(self.denominator))
-        )
-        return RationalFunction.make(
-            num, _pmul(list(self.denominator), list(other.denominator)), s
-        )
-
-    def __neg__(self) -> "RationalFunction":
-        return RationalFunction(
-            tuple(-x for x in self.numerator), self.denominator, self.shift
-        )
-
-    def __sub__(self, other: "RationalFunction") -> "RationalFunction":
-        return self + (-other)
-
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction.make(
-            _pmul(list(self.numerator), list(other.numerator)),
-            _pmul(list(self.denominator), list(other.denominator)),
-            self.shift + other.shift,
-        )
-
-    def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
-        if _is_zero(list(other.numerator)):
-            raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction.make(
-            _pmul(list(self.numerator), list(other.denominator)),
-            _pmul(list(self.denominator), list(other.numerator)),
-            self.shift - other.shift,
-        )
+        return RationalFunction(tuple(num), tuple(den))
 
 
 def series_expand(f: RationalFunction, k_max: int) -> list[int]:
     """Exact Taylor coefficients c_0..c_k_max of f around z = 0."""
     if k_max < 0:
         raise ValueError(f"series length k_max must be >= 0, got {k_max}")
-    if f.is_laurent:
-        raise PoleAtZeroError(f"function has a pole of order {f.shift} at z = 0")
     num, den = f.numerator, f.denominator
     if den[0] == 0:
         raise PoleAtZeroError("denominator vanishes at z = 0")
@@ -298,33 +222,41 @@ def weyl_trace_count(n: int) -> int:
     return _exact_div((n + 2) * (n + 1) * n * (n - 3), 12)
 
 
-def poincare(n: int) -> RationalFunction:
-    """Generating function of delta_count(n, .) as a reduced rational function.
+def _one_minus_z_power(e: int) -> list[int]:
+    """(1 - z)^e, ascending powers."""
+    return [(-1) ** i * comb(e, i) for i in range(e + 1)]
 
-    For n > 2 the assembly passes through genuinely Laurent terms (the n/z
-    pieces); their cancellation is asserted, so a surviving pole at z = 0
-    would indicate a transcription bug rather than return a bad function.
+
+def _numerator(n: int) -> list[int]:
+    """N_n(z), the numerator of poincare(n) over (1 - z)^n.
+
+    For n >= 3 it is [(n + C(n,2) z (1 - z^2)) (1 - z)^n - n + C(n+1,2) z] / z,
+    the sum n/z + C(n,2)(1 - z^2) - (n - C(n+1,2) z) / (z (1 - z)^n) of the
+    order counts over the common denominator; the bracket's constant term
+    n - n vanishes, which is asserted before dividing by z. N_2 is
+    z^2 (1 - z + 2z^2 - z^3).
+    """
+    if n == 2:
+        return [0, 0, 1, -1, 2, -1]
+    c2 = comb(n, 2)
+    bracket = _pmul([n, c2, 0, -c2], _one_minus_z_power(n))
+    bracket[0] -= n
+    bracket[1] += comb(n + 1, 2)
+    assert bracket[0] == 0, "the order-count numerator has a pole at z = 0"
+    return bracket[1:]
+
+
+def poincare(n: int) -> RationalFunction:
+    """Generating function of delta_count(n, .): N_n(z) / (1 - z)^n.
+
+    Nothing cancels in the reduction, because N_n(1) = C(n,2) is not 0
+    (N_2(1) = 1), so the pole at z = 1 has order n.
     """
     _check_dim(n)
-    if n == 2:
-        num = _pmul([0, 0, 1], [1, -1, 2, -1])  # z^2 (1 - z + 2z^2 - z^3)
-        return RationalFunction.make(num, _pmul([1, -1], [1, -1]))
-    one_minus_z_n = [1]
-    for _ in range(n):
-        one_minus_z_n = _pmul(one_minus_z_n, [1, -1])
-    n_over_z = RationalFunction.make([n], [1], shift=1)
-    middle = RationalFunction.from_polynomial(
-        [comb(n, 2), 0, -comb(n, 2)]
-    )
-    bracket = RationalFunction.make([n, -comb(n + 1, 2)], [1], shift=1)
-    tail = bracket / RationalFunction.from_polynomial(one_minus_z_n)
-    p = n_over_z + middle - tail
-    assert not p.is_laurent and p.denominator[0] != 0, (
-        "1/z terms failed to cancel in the order-count generating function"
-    )
-    return p
+    return RationalFunction.make(_numerator(n), _one_minus_z_power(n))
 
 
 def cumulative_generating_function(n: int) -> RationalFunction:
-    """Generating function of s_count(n, .): poincare(n) / (1 - z)."""
-    return poincare(n) / RationalFunction.from_polynomial([1, -1])
+    """Generating function of s_count(n, .): N_n(z) / (1 - z)^(n+1)."""
+    _check_dim(n)
+    return RationalFunction.make(_numerator(n), _one_minus_z_power(n + 1))

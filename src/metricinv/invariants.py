@@ -30,6 +30,7 @@ from .curvature import (
     TensorComponents,
     _jet_identity,
     _jet_matrix_inverse,
+    _require_finite,
     curvature_point,
 )
 from .errors import (
@@ -45,13 +46,11 @@ DEFAULT_FRAME_FLOOR = 1e-10
 
 
 def numerical_rank(
-    singular_values: Sequence[float],
-    rel_tol: float = DEFAULT_FRAME_RTOL,
-    abs_floor: float = DEFAULT_FRAME_FLOOR,
+    singular_values: Sequence[float], rel_tol: float = DEFAULT_FRAME_RTOL
 ) -> int:
-    """Count singular values above rel_tol * sigma_1 (0 if all below floor)."""
+    """Count singular values above rel_tol * sigma_1 (0 if all below the floor)."""
     sv = np.asarray(singular_values, dtype=float)
-    if sv.size == 0 or sv[0] < abs_floor:
+    if sv.size == 0 or sv[0] < DEFAULT_FRAME_FLOOR:
         return 0
     return int(np.sum(sv > rel_tol * sv[0]))
 
@@ -64,13 +63,12 @@ def _trace(mat: np.ndarray, n_vars: int, order: int) -> Jet:
 # -- order-2 invariants ----------------------------------------------------------
 
 
-def ricci_traces(a_op: TensorComponents, count: int | None = None) -> list[Jet]:
-    """Power traces of the Ricci operator, Tr(A^i) for i = 1..count."""
+def ricci_traces(a_op: TensorComponents) -> list[Jet]:
+    """Power traces of the Ricci operator, Tr(A^i) for i = 1..n."""
     n, order = a_op.n, a_op.order
-    count = n if count is None else count
     power = a_op.coeffs
     traces = [_trace(power, n, order)]
-    for _ in range(count - 1):
+    for _ in range(n - 1):
         power = contract(power, a_op.coeffs, a_op.ctx)
         traces.append(_trace(power, n, order))
     return traces
@@ -233,9 +231,7 @@ class TresseFrame:
 
 
 def tresse_frame(
-    invariants: Sequence[Jet],
-    rel_tol: float = DEFAULT_FRAME_RTOL,
-    abs_floor: float = DEFAULT_FRAME_FLOOR,
+    invariants: Sequence[Jet], rel_tol: float = DEFAULT_FRAME_RTOL
 ) -> TresseFrame:
     """Invert the Jacobian of n base invariants; raises SingularFrameError.
 
@@ -253,7 +249,7 @@ def tresse_frame(
         raise InsufficientOrderError("Tresse frame needs invariant jets of order >= 1")
     jac = np.array([j.gradient() for j in invariants])
     sv = np.linalg.svd(jac, compute_uv=False)
-    rank = numerical_rank(sv, rel_tol, abs_floor)
+    rank = numerical_rank(sv, rel_tol)
     if rank < n:
         raise SingularFrameError(rank)
     base = np.array([j.truncate(order).c for j in invariants])
@@ -287,7 +283,8 @@ def higher_invariants(
     with gradients) before the contractions.
 
     The values are the rows of the one contracted block, so each Jet's
-    `c` is a view of its row. The labels depend on (n, k, s_range) only
+    `c` is a view of its row; a non-finite entry in that block raises
+    DomainError. The labels depend on (n, k, s_range) only
     and are built once per key; the list returned is a fresh copy.
     """
     if k < 3:
@@ -317,8 +314,10 @@ def higher_invariants(
     val = t.truncate(out_order).coeffs
     for vectors in [f] * (k - 2) + [w] * 4:
         val = contract(np.moveaxis(val, 0, -2), vectors, ctx)
+    block = val.reshape(-1, ctx.size)
+    _require_finite(curv.point, **{f"H{k}": block})
 
-    values = [Jet(n, out_order, row) for row in val.reshape(-1, ctx.size)]
+    values = [Jet(n, out_order, row) for row in block]
     return list(_higher_labels(n, k, s_range)), values
 
 
@@ -380,7 +379,6 @@ def invariant_sample(
     with_gradients: bool = False,
     s_range: int = 1,
     frame_rel_tol: float = DEFAULT_FRAME_RTOL,
-    frame_abs_floor: float = DEFAULT_FRAME_FLOOR,
 ) -> tuple[InvariantVector, CurvaturePoint]:
     """Invariant vector plus the curvature data it was computed from."""
     n = spec.dim
@@ -396,37 +394,42 @@ def invariant_sample(
     values: list[Jet] = []
     warnings: list[str] = []
 
-    if n == 2:
-        base = surface_invariant_pair(curv)
-        labels.extend(["I1", "I2'"])
-    else:
-        base = ricci_traces(curv.ricci_op)
-        labels.extend(f"I{i + 1}" for i in range(n))
-    values.extend(j.truncate(out_order) for j in base)
-
-    if n >= 4:
-        j_labels, j_values = weyl_traces(
-            curv.ricci_op, curv.weyl, curv.g_inv, order=out_order
-        )
-        labels.extend(j_labels)
-        values.extend(j_values)
-
-    if max_order >= 3:
-        try:
-            frame = tresse_frame(base, rel_tol=frame_rel_tol, abs_floor=frame_abs_floor)
-        except SingularFrameError as exc:
-            warnings.append(
-                f"SingularFrame: base invariant Jacobian has rank {exc.rank}; "
-                f"higher-order blocks omitted"
-            )
+    # overflow and NaN are not warned about where they arise: each block is
+    # checked for non-finite entries, and raises DomainError, once it is built
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n == 2:
+            base = surface_invariant_pair(curv)
+            labels.extend(["I1", "I2'"])
         else:
-            for k in range(3, max_order + 1):
-                h_labels, h_values = higher_invariants(
-                    curv, frame, curv.ricci_op, k,
-                    s_range=s_range, with_gradients=with_gradients,
+            base = ricci_traces(curv.ricci_op)
+            labels.extend(f"I{i + 1}" for i in range(n))
+        values.extend(j.truncate(out_order) for j in base)
+        _require_finite(point, **{"base invariants": np.array([v.c for v in values])})
+
+        if n >= 4:
+            j_labels, j_values = weyl_traces(
+                curv.ricci_op, curv.weyl, curv.g_inv, order=out_order
+            )
+            _require_finite(point, **{"Weyl traces": np.array([v.c for v in j_values])})
+            labels.extend(j_labels)
+            values.extend(j_values)
+
+        if max_order >= 3:
+            try:
+                frame = tresse_frame(base, rel_tol=frame_rel_tol)
+            except SingularFrameError as exc:
+                warnings.append(
+                    f"SingularFrame: base invariant Jacobian has rank {exc.rank}; "
+                    f"higher-order blocks omitted"
                 )
-                labels.extend(h_labels)
-                values.extend(h_values)
+            else:
+                for k in range(3, max_order + 1):
+                    h_labels, h_values = higher_invariants(
+                        curv, frame, curv.ricci_op, k,
+                        s_range=s_range, with_gradients=with_gradients,
+                    )
+                    labels.extend(h_labels)
+                    values.extend(h_values)
 
     iv = InvariantVector(
         labels=tuple(labels),

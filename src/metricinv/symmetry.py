@@ -13,7 +13,6 @@ pseudo-Riemannian and all invariants vanish while the curvature does not
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ from .errors import (
     SingularMetricError,
 )
 from .invariants import (
-    DEFAULT_FRAME_FLOOR,
     DEFAULT_FRAME_RTOL,
     InvariantVector,
     invariant_sample,
@@ -96,16 +94,14 @@ def homogeneity(
     max_order: int = 2,
     seed: int = 0,
     rel_tol: float = DEFAULT_FRAME_RTOL,
-    abs_floor: float = DEFAULT_FRAME_FLOOR,
 ) -> RankReport:
     """Estimate the symmetry-orbit dimension of a metric over a box.
 
     Draws `n_samples` points deterministically from `seed`, computes the
     invariant Jacobian at each (skipping chart singularities), and infers
-    homogeneity n - m from the consensus rank m. `rel_tol` and `abs_floor`
-    decide both that rank and the rank of each point's Tresse frame.
-    Raises ValueError unless n_samples >= 1, 0 < rel_tol < 1 and
-    0 <= abs_floor < inf (NaN fails both).
+    homogeneity n - m from the consensus rank m. `rel_tol` decides both
+    that rank and the rank of each point's Tresse frame. Raises ValueError
+    unless n_samples >= 1 and 0 < rel_tol < 1 (NaN fails).
     """
     n = spec.dim
     if len(box) != n:
@@ -114,8 +110,6 @@ def homogeneity(
         raise ValueError(f"need at least one sample point, got {n_samples}")
     if not 0.0 < rel_tol < 1.0:
         raise ValueError(f"rel_tol must lie strictly between 0 and 1, got {rel_tol!r}")
-    if not 0.0 <= abs_floor < inf:
-        raise ValueError(f"abs_floor must be finite and >= 0, got {abs_floor!r}")
     used: list[tuple[float, ...]] = []
     all_sv: list[tuple[float, ...]] = []
     ranks: list[int] = []
@@ -129,7 +123,7 @@ def homogeneity(
         try:
             iv, curv = invariant_sample(
                 spec, point, max_order=max_order, with_gradients=True,
-                frame_rel_tol=rel_tol, frame_abs_floor=abs_floor,
+                frame_rel_tol=rel_tol,
             )
         except (DomainError, SingularMetricError) as exc:
             skipped.append((point, f"{type(exc).__name__}: {exc}"))
@@ -138,7 +132,7 @@ def homogeneity(
         sv = np.linalg.svd(jac, compute_uv=False)
         used.append(point)
         all_sv.append(tuple(float(s) for s in sv))
-        ranks.append(numerical_rank(sv, rel_tol, abs_floor))
+        ranks.append(numerical_rank(sv, rel_tol))
         inv_max = max(inv_max, float(np.max(np.abs(iv.values_array()))))
         riem_max = max(riem_max, curv.riemann_lower.max_abs())
         grad_max = max(grad_max, float(np.max(np.linalg.norm(jac, axis=1))))

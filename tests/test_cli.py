@@ -3,6 +3,7 @@
 import io
 import json
 import re
+import warnings
 
 import pytest
 
@@ -115,6 +116,36 @@ def test_non_finite_results_exit_3(capsys, tmp_path, argv):
     assert code == 3
     assert out == ""
     assert "DomainError" in err
+
+
+# Schwarzschild times 1e-70 (and g_tt times 1 + r^2): the curvature is in
+# the float range, its Weyl traces are not.
+TINY_SCHWARZSCHILD = """
+dim = 4
+coords = [t, r, th, ph]
+signature = [-1, +1, +1, +1]
+g[1,1] = -1e-70*(1 - 2/r)*(1 + r^2)
+g[2,2] = 1e-70/(1 - 2/r)
+g[3,3] = 1e-70*r^2
+g[4,4] = 1e-70*r^2 * sin(th)^2
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["homogeneity", "--box", "t=0:1,r=3:6,th=0.6:2.4,ph=0:3",
+     "--samples", "3", "--seed", "7", "--max-order", "2"],
+    ["invariants", "--point", "t=0.5,r=4,th=1,ph=0.5", "--max-order", "2"],
+])
+def test_invariants_out_of_float_range_exit_3(capsys, tmp_path, argv):
+    path = tmp_path / "tiny_schwarzschild.metric"
+    path.write_text(TINY_SCHWARZSCHILD)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, argv[0], "--metric", str(path), *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err and "input error" not in err
 
 
 @pytest.mark.parametrize("fmt", ["json", "text"])

@@ -1,10 +1,6 @@
-"""Exact invariant counts, generating functions, and the rational arithmetic."""
-
-from fractions import Fraction
+"""Exact invariant counts, generating functions, and their normal form."""
 
 import pytest
-from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from metricinv.counting import (
     RationalFunction,
@@ -52,21 +48,20 @@ def test_s_delta_cross_consistency():
 
 
 def test_poincare_series_match_delta():
-    for n in range(2, 7):
-        series = series_expand(poincare(n), 12)
-        assert series == [delta_count(n, k) for k in range(13)]
+    for n in range(2, 33):
+        series = series_expand(poincare(n), 24)
+        assert series == [delta_count(n, k) for k in range(25)]
 
 
 def test_cumulative_series_match_s():
-    for n in range(2, 7):
-        series = series_expand(cumulative_generating_function(n), 12)
-        assert series == [s_count(n, k) for k in range(13)]
+    for n in range(2, 33):
+        series = series_expand(cumulative_generating_function(n), 24)
+        assert series == [s_count(n, k) for k in range(25)]
 
 
 def test_poincare_laurent_parts_cancel():
     for n in range(2, 7):
         p = poincare(n)
-        assert not p.is_laurent
         assert p.denominator[0] != 0
 
 
@@ -80,8 +75,9 @@ def test_poincare_n3_series():
 
 
 def test_pole_orders():
-    for n in range(2, 7):
+    for n in range(2, 33):
         assert pole_order_at_one(poincare(n)) == n
+        assert pole_order_at_one(cumulative_generating_function(n)) == n + 1
     assert pole_order_at_one(RationalFunction.make([1], [1, -1])) == 1
     assert pole_order_at_one(RationalFunction.make([1], [1])) == 0
     # num and den sharing (z-1) cancels in reduction
@@ -98,8 +94,6 @@ def test_series_known_functions():
 
 def test_series_pole_at_zero():
     with pytest.raises(PoleAtZeroError):
-        series_expand(RationalFunction.make([1], [1], shift=1), 3)
-    with pytest.raises(PoleAtZeroError):
         series_expand(RationalFunction.make([1], [0, 1]), 3)
 
 
@@ -108,58 +102,6 @@ def test_normalization_is_deterministic():
     b = RationalFunction.make([1, 1], [2, -2])
     assert a == b
     assert a.denominator[-1] > 0
-    z_cancel = RationalFunction.make([0, 0, 3], [0, 6], shift=0)
+    z_cancel = RationalFunction.make([0, 0, 3], [0, 6])
     assert z_cancel == RationalFunction.make([0, 1], [2])
 
-
-# -- field-style property tests ---------------------------------------------------
-
-_polys = st.lists(st.integers(min_value=-6, max_value=6), min_size=1, max_size=4)
-_nonzero_polys = _polys.filter(lambda p: any(c != 0 for c in p))
-
-
-def _rf(num, den):
-    return RationalFunction.make(num, den)
-
-
-@given(_polys, _nonzero_polys, _polys, _nonzero_polys)
-@settings(max_examples=80)
-def test_rational_addition_matches_series(n1, d1, n2, d2):
-    f, g = _rf(n1, d1), _rf(n2, d2)
-    try:
-        sf = series_expand(f, 8)
-        sg = series_expand(g, 8)
-        ssum = series_expand(f + g, 8)
-    except PoleAtZeroError:
-        return
-    assert ssum == [a + b for a, b in zip(sf, sg)]
-
-
-@given(_polys, _nonzero_polys, _polys, _nonzero_polys)
-@settings(max_examples=80)
-def test_rational_product_matches_convolution(n1, d1, n2, d2):
-    f, g = _rf(n1, d1), _rf(n2, d2)
-    try:
-        sf = series_expand(f, 8)
-        sg = series_expand(g, 8)
-        sprod = series_expand(f * g, 8)
-    except PoleAtZeroError:
-        return
-    conv = [sum(sf[i] * sg[k - i] for i in range(k + 1)) for k in range(9)]
-    assert sprod == conv
-
-
-@given(_polys, _nonzero_polys)
-@settings(max_examples=60)
-def test_sub_then_add_round_trips(num, den):
-    f = _rf(num, den)
-    g = _rf([1, 3], [2, 0, 1])
-    assert (f - g) + g == f
-
-
-@given(_nonzero_polys, _nonzero_polys)
-@settings(max_examples=60)
-def test_division_inverts_multiplication(num, den):
-    f = _rf(num, den)
-    g = _rf([2, -1], [1, 1])
-    assert (f * g) / g == f

@@ -1,17 +1,19 @@
 """Trace invariants, Weyl operators, Tresse frame, higher-order contractions."""
 
+import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from metricinv import curvature
+from metricinv import curvature, invariants
 from metricinv.counting import delta_count, s_count, weyl_trace_count
-from metricinv.curvature import curvature_point
-from metricinv.errors import SingularFrameError, UnsupportedDimensionError
+from metricinv.curvature import TensorComponents, curvature_point
+from metricinv.errors import DomainError, SingularFrameError, UnsupportedDimensionError
 from metricinv.invariants import (
     higher_invariants,
+    invariant_sample,
     invariant_vector,
     ricci_traces,
     surface_invariant_pair,
@@ -282,6 +284,25 @@ def test_higher_invariant_jets_behave_as_jets(regular_frame_point):
     assert (v * w).c.tobytes() == (v_ref * w_ref).c.tobytes()
     assert v.truncate(0) == Jet(3, 0, v.c[:1].copy())
     assert v.truncate(1) is v
+
+
+def test_higher_invariants_reject_a_non_finite_block(regular_frame_point):
+    cp, frame = regular_frame_point
+    f = frame.frame
+    big = TensorComponents(f.variance, f.n, f.order, f.coeffs * 1e200)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DomainError, match="H3"):
+        higher_invariants(cp, dataclasses.replace(frame, frame=big), cp.ricci_op, 3)
+
+
+def test_invariant_sample_rejects_non_finite_base_invariants(monkeypatch, sphere3):
+    original = invariants.ricci_traces
+
+    def overflowing(a_op):
+        return [Jet(j.n_vars, j.order, np.full_like(j.c, np.inf)) for j in original(a_op)]
+
+    monkeypatch.setattr(invariants, "ricci_traces", overflowing)
+    with pytest.raises(DomainError, match="base invariants"):
+        invariant_sample(sphere3, (1.1, 0.8, 0.3), max_order=3, with_gradients=True)
 
 
 def test_singular_frame_never_builds_nabla_r(monkeypatch, flat3):
