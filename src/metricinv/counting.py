@@ -5,14 +5,15 @@ gives the number of independent invariants of order <= k, delta_count the
 number of pure order k, and poincare(n) the rational generating function
 of the delta sequence. Both generating functions are stated in closed form,
 N_n(z) / (1 - z)^n for the delta counts and N_n(z) / (1 - z)^(n+1) for the
-cumulative counts, and stored reduced by `RationalFunction.make`.
+cumulative counts. Neither pair can cancel, because N_n(1) != 0 and
+z = 1 is the only root of (1 - z)^e, so each is constructed reduced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb
 
 from .errors import PoleAtZeroError
 
@@ -25,10 +26,6 @@ def _trim(p: list[int]) -> list[int]:
     return p
 
 
-def _pneg(a):
-    return [-x for x in a]
-
-
 def _pmul(a, b):
     out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -39,102 +36,22 @@ def _pmul(a, b):
     return _trim(out)
 
 
-def _pcontent(a) -> int:
-    c = 0
-    for x in a:
-        c = gcd(c, x)
-    return c or 1
-
-
 def _is_zero(a) -> bool:
     return all(x == 0 for x in a)
-
-
-def _pgcd(a: list[int], b: list[int]) -> list[int]:
-    """Primitive gcd over Z via monic Euclid on Fractions."""
-    fa = [Fraction(x) for x in a]
-    fb = [Fraction(x) for x in b]
-
-    def trimf(p):
-        while len(p) > 1 and p[-1] == 0:
-            p.pop()
-        return p
-
-    def remf(num, den):
-        num = num[:]
-        while len(num) >= len(den) and not all(x == 0 for x in num):
-            factor = num[-1] / den[-1]
-            shift = len(num) - len(den)
-            for i, d in enumerate(den):
-                num[shift + i] -= factor * d
-            num.pop()  # leading term cancelled exactly
-            num = trimf(num or [Fraction(0)])
-        return trimf(num or [Fraction(0)])
-
-    fa, fb = trimf(fa), trimf(fb)
-    while not all(x == 0 for x in fb):
-        fa, fb = fb, remf(fa, fb)
-    if all(x == 0 for x in fa):
-        return [1]
-    denominators = [f.denominator for f in fa]
-    lcm = 1
-    for d in denominators:
-        lcm = lcm * d // gcd(lcm, d)
-    ints = [int(f * lcm) for f in fa]
-    content = _pcontent(ints)
-    ints = [x // content for x in ints]
-    if ints[-1] < 0:
-        ints = [-x for x in ints]
-    return ints
-
-
-def _pdivexact(a: list[int], b: list[int]) -> list[int]:
-    """Exact polynomial division a / b; a must be a multiple of b."""
-    fa = [Fraction(x) for x in a]
-    out = [Fraction(0)] * (len(a) - len(b) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        coeff = fa[k + len(b) - 1] / Fraction(b[-1])
-        out[k] = coeff
-        for i, d in enumerate(b):
-            fa[k + i] -= coeff * d
-    if not all(x == 0 for x in fa):
-        raise ArithmeticError("inexact polynomial division")
-    assert all(f.denominator == 1 for f in out)
-    return _trim([int(f) for f in out])
 
 
 @dataclass(frozen=True)
 class RationalFunction:
     """numerator(z) / denominator(z) with integer coefficients.
 
-    Stored reduced: no common polynomial factor (a common power of z
-    included), denominator with positive leading coefficient, and the
-    integer content shared with the numerator divided out. A pole at
-    z = 0 shows as a denominator with zero constant term.
+    Stored as constructed; nothing is cancelled. `poincare` and
+    `cumulative_generating_function` construct theirs reduced, with a
+    denominator of positive leading coefficient. A pole at z = 0 shows as
+    a denominator with zero constant term.
     """
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
-
-    @staticmethod
-    def make(numerator, denominator) -> "RationalFunction":
-        num = _trim([int(x) for x in numerator] or [0])
-        den = _trim([int(x) for x in denominator] or [0])
-        if _is_zero(den):
-            raise ZeroDivisionError("rational function with zero denominator")
-        if _is_zero(num):
-            return RationalFunction((0,), (1,))
-        g = _pgcd(num, den)
-        if len(g) > 1 or g[0] != 1:
-            num = _pdivexact(num, g)
-            den = _pdivexact(den, g)
-        if den[-1] < 0:
-            num, den = _pneg(num), _pneg(den)
-        content = gcd(_pcontent(num), _pcontent(den))
-        if content > 1:
-            num = [x // content for x in num]
-            den = [x // content for x in den]
-        return RationalFunction(tuple(num), tuple(den))
 
 
 def series_expand(f: RationalFunction, k_max: int) -> list[int]:
@@ -246,17 +163,32 @@ def _numerator(n: int) -> list[int]:
     return bracket[1:]
 
 
+def _over_one_minus_z_power(num: list[int], e: int) -> RationalFunction:
+    """num(z) / (1 - z)^e, both sides times (-1)^e so that the denominator's
+    leading coefficient is positive.
+
+    The only root of (1 - z)^e is z = 1 and its content is 1, so the pair
+    is reduced exactly when num(1) = sum(num) is not 0; that is asserted.
+    """
+    assert sum(num) != 0, "numerator vanishes at z = 1"
+    sign = (-1) ** e
+    return RationalFunction(
+        tuple(sign * x for x in num),
+        tuple(sign * x for x in _one_minus_z_power(e)),
+    )
+
+
 def poincare(n: int) -> RationalFunction:
     """Generating function of delta_count(n, .): N_n(z) / (1 - z)^n.
 
-    Nothing cancels in the reduction, because N_n(1) = C(n,2) is not 0
-    (N_2(1) = 1), so the pole at z = 1 has order n.
+    N_n(1) = C(n,2) (N_2(1) = 1) is not 0, so the pair is reduced and the
+    pole at z = 1 has order n.
     """
     _check_dim(n)
-    return RationalFunction.make(_numerator(n), _one_minus_z_power(n))
+    return _over_one_minus_z_power(_numerator(n), n)
 
 
 def cumulative_generating_function(n: int) -> RationalFunction:
     """Generating function of s_count(n, .): N_n(z) / (1 - z)^(n+1)."""
     _check_dim(n)
-    return RationalFunction.make(_numerator(n), _one_minus_z_power(n + 1))
+    return _over_one_minus_z_power(_numerator(n), n + 1)

@@ -229,15 +229,6 @@ class Jet:
         size = _context(self.n_vars, order).size
         return Jet(self.n_vars, order, self.c[:size])
 
-    def derivative(self, var: int) -> "Jet":
-        """Partial derivative jet; the order drops by one."""
-        if self.order < 1:
-            raise InsufficientOrderError("derivative needs a jet of order >= 1")
-        if not 0 <= var < self.n_vars:
-            raise IndexError(f"variable index {var} out of range")
-        c = self.c[self.ctx.diff_src[var]] * self.ctx.diff_fact[var]
-        return Jet(self.n_vars, self.order - 1, c)
-
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other: "Jet"):
