@@ -14,9 +14,8 @@ root's `src/`, and `perfbench/` for the workload inputs:
   `wall_time_s`, and stderr;
 - the CLI `poincare --expand 24` and `count --max-k 24` for n = 2..32,
   compared the same way;
-- tower3d ops 0-3 of seeds 11 and 7919, then `invariant_vector` on the
-  input of op 0 with `s_range` 0 and 2 (the workload's is 1): labels,
-  values, Jacobian and the full coefficient array of every Jet;
+- tower3d ops 0-3 of seeds 11 and 7919: labels, values, Jacobian and
+  the full coefficient array of every Jet;
 - survey4d ops 0-39 of seeds 11 and 7919: the whole `RankReport`.
 
 Floats are compared through their shortest repr, which round-trips
@@ -37,7 +36,6 @@ from pathlib import Path
 
 SEEDS = (11, 7919)
 TOWER_OPS = range(4)
-TOWER_S_RANGES = (0, 2)  # the workload runs s_range 1
 SURVEY_OPS = range(40)
 COUNT_DIMS = range(2, 33)  # the dimensions and orders the counts workload draws
 COUNT_K = 24
@@ -117,15 +115,6 @@ def _workload_probes(workloads, root):
                 return _invariant_doc(iv)
 
             yield f"tower3d seed {seed} op {op}", run
-        for s_range in TOWER_S_RANGES:
-            def run(tower=tower, s_range=s_range):
-                inp = tower.inputs(0)
-                spec = workloads.metriclang.parse_metric(inp.text)
-                return _invariant_doc(workloads.invariants.invariant_vector(
-                    spec, inp.point, max_order=4, with_gradients=True, s_range=s_range,
-                ))
-
-            yield f"tower3d seed {seed} op 0 s_range {s_range}", run
         survey = workloads.Survey4d(seed, root)
         for op in SURVEY_OPS:
             def run(survey=survey, op=op):

@@ -175,16 +175,10 @@ def cmd_invariants(args) -> Report:
             "metric": args.metric,
             "point": {c: p for c, p in zip(spec.coords, point)},
             "max_order": args.max_order,
-            "a_power_range": args.a_power_range,
         },
         metric_digest=digest,
     )
-    iv = invariant_vector(
-        spec,
-        point,
-        max_order=args.max_order,
-        s_range=args.a_power_range,
-    )
+    iv = invariant_vector(spec, point, max_order=args.max_order)
     report.results = {
         "dim": spec.dim,
         "max_order": iv.max_order,
@@ -365,10 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metric", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--max-order", type=int, default=2, dest="max_order")
-    p.add_argument(
-        "--a-power-range", type=int, default=1, dest="a_power_range",
-        help="highest power of the Ricci operator in higher-order contractions",
-    )
     p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("homogeneity", parents=[common], help="symmetry-orbit dimension over a box")
@@ -406,8 +396,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _DOMAIN_ERRORS as exc:
         return _domain_exit(exc)
     except (MetricLangError, OSError, ValueError) as exc:
-        print(f"metricinv: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _input_exit(exc)
+    except RecursionError:
+        return _input_exit("a metric expression is nested too deeply")
+    except MemoryError:
+        return _input_exit("the requested jet order needs more memory than is available")
     except AssertionError as exc:
         print(f"metricinv: internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
@@ -417,6 +410,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except DomainError as exc:  # a non-finite number, found before anything is written
         return _domain_exit(exc)
     return EXIT_OK
+
+
+def _input_exit(reason: object) -> int:
+    print(f"metricinv: input error: {reason}", file=sys.stderr)
+    return EXIT_INPUT
 
 
 def _domain_exit(exc: Exception) -> int:

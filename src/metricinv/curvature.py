@@ -308,7 +308,6 @@ class CurvaturePoint:
     g_inv: TensorComponents
     gamma: TensorComponents
     riemann_lower: TensorComponents
-    riemann_mixed: TensorComponents
     ricci: TensorComponents
     scalar: Jet
     ricci_op: TensorComponents
@@ -388,7 +387,6 @@ def curvature_point(
         g_inv=g_inv,
         gamma=gamma,
         riemann_lower=r_lower,
-        riemann_mixed=r_mixed,
         ricci=ric,
         scalar=scal,
         ricci_op=a_op,

@@ -4,7 +4,8 @@ Order 2: power traces of the Ricci operator A (n of them), and for n >= 4
 the traces of bivector operators built from A and the Weyl map on
 Lambda^2 TM. Order k >= 3: the (k-2)-fold covariant derivative of the
 curvature fully contracted against the frame dual to the differentials of
-the power traces, with optional extra powers of A on the curvature slots.
+the power traces, each curvature slot taking a frame vector or A applied
+to one.
 
 For n = 2 the power traces degenerate (A is scalar), so the standard
 substitute pair {scalar curvature, squared gradient of the scalar
@@ -159,7 +160,6 @@ def weyl_traces(
     a_op: TensorComponents,
     w_lower: TensorComponents | None,
     g_inv: TensorComponents,
-    limit: int | None = None,
     order: int | None = None,
 ) -> tuple[list[str], list[Jet]]:
     """Traces Tr(W^{a,b,c}) of the bivector operators, deduplicated.
@@ -168,7 +168,7 @@ def weyl_traces(
     which Lambda^2(A)^a Lambda^2(A)^c = Lambda^2(A)^{a+c}; the cyclic
     trace identity then makes the trace depend on (a+c, b) only, so one
     canonical representative with a <= c is emitted per class, ordered by
-    (a+c, b), with a, c <= n. By default the list is cut at the number of
+    (a+c, b), with a, c <= n. The list is cut at the number of
     independent order-2 invariants beyond the power traces,
     (n+2)(n+1)n(n-3)/12; powers are formed only as far as the cut reaches.
     """
@@ -180,8 +180,6 @@ def weyl_traces(
     assert w_lower is not None
     from .counting import weyl_trace_count
 
-    if limit is None:
-        limit = weyl_trace_count(n)
     if order is not None:
         a_op = a_op.truncate(min(order, a_op.order))
         w_lower = w_lower.truncate(min(order, w_lower.order))
@@ -200,7 +198,7 @@ def weyl_traces(
     lam_powers = [_jet_identity(n_biv, ctx)]
     labels: list[str] = []
     values: list[Jet] = []
-    for s, b in pairs[: max(limit, 0)]:
+    for s, b in pairs[: weyl_trace_count(n)]:
         if b > len(w_powers):
             w_powers.append(contract(w_powers[-1], w_op, ctx))
         if s == len(lam_powers):
@@ -219,13 +217,11 @@ def weyl_traces(
 class TresseFrame:
     """Frame of derivations dual to the differentials of the base invariants.
 
-    `jacobian[i, m]` holds the m-th partial of the i-th invariant at the
-    point; `frame[m, i]` the m-th coordinate component of the i-th dual
-    vector (columns of the inverse Jacobian), as jet tensor components so
-    gradients propagate. jacobian @ frame.values() = identity.
+    `frame[m, i]` holds the m-th coordinate component of the i-th dual
+    vector: the columns of the inverse of the Jacobian d_m I_i at the
+    point, as jet tensor components so gradients propagate.
     """
 
-    jacobian: np.ndarray
     frame: TensorComponents
     condition_number: float
 
@@ -257,7 +253,6 @@ def tresse_frame(
     frame = _jet_matrix_inverse(jac_jets, _context(n, order - 1))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
     return TresseFrame(
-        jacobian=jac,
         frame=TensorComponents(("u", "d"), n, order - 1, frame),
         condition_number=cond,
     )
@@ -271,21 +266,20 @@ def higher_invariants(
     frame: TresseFrame,
     a_op: TensorComponents,
     k: int,
-    s_range: int = 1,
     with_gradients: bool = False,
 ) -> tuple[list[str], list[Jet]]:
     """Order-k invariants from nabla^{k-2} R contracted against the frame.
 
     Each derivative slot is paired with a frame vector, each of the four
-    curvature slots with A^s applied to a frame vector for s = 0..s_range.
+    curvature slots with A^s applied to a frame vector for s = 0, 1.
     Labels read H{k}[derivative word | s word | frame word] with 1-based
     frame indices. Every input is truncated to the output order (0, or 1
     with gradients) before the contractions.
 
     The values are the rows of the one contracted block, so each Jet's
     `c` is a view of its row; a non-finite entry in that block raises
-    DomainError. The labels depend on (n, k, s_range) only
-    and are built once per key; the list returned is a fresh copy.
+    DomainError. The labels depend on (n, k) only and are built once per
+    key; the list returned is a fresh copy.
     """
     if k < 3:
         raise ValueError("higher invariants start at order 3")
@@ -305,10 +299,7 @@ def higher_invariants(
     a = a_op.truncate(out_order).coeffs
 
     # families: columns w = s*n + j hold A^s applied to frame vector j
-    family = [f]
-    for _ in range(s_range):
-        family.append(contract(a, family[-1], ctx))
-    w = np.concatenate(family, axis=1)
+    w = np.concatenate([f, contract(a, f, ctx)], axis=1)
 
     # contract the leading slot each time; the family axis goes last
     val = t.truncate(out_order).coeffs
@@ -318,15 +309,15 @@ def higher_invariants(
     _require_finite(curv.point, **{f"H{k}": block})
 
     values = [Jet(n, out_order, row) for row in block]
-    return list(_higher_labels(n, k, s_range)), values
+    return list(_higher_labels(n, k)), values
 
 
 @lru_cache(maxsize=None)
-def _higher_labels(n: int, k: int, s_range: int) -> tuple[str, ...]:
+def _higher_labels(n: int, k: int) -> tuple[str, ...]:
     """Labels of `higher_invariants` in the row-major order of its index axes."""
     digits = [str(i + 1) for i in range(n)]
     iwords = ["".join(word) for word in itertools.product(digits, repeat=k - 2)]
-    slots = [(str(s), j) for s in range(s_range + 1) for j in digits]  # in column order
+    slots = [(s, j) for s in "01" for j in digits]  # in column order
     swords = [
         "".join(s for s, _ in word) + "|" + "".join(j for _, j in word)
         for word in itertools.product(slots, repeat=4)
@@ -349,7 +340,6 @@ class InvariantVector:
     labels: tuple[str, ...]
     values: tuple[Jet, ...]
     max_order: int
-    point: tuple[float, ...]
     warnings: tuple[str, ...] = field(default=())
 
     def __len__(self) -> int:
@@ -377,15 +367,12 @@ def invariant_sample(
     point: Sequence[float],
     max_order: int = 2,
     with_gradients: bool = False,
-    s_range: int = 1,
     frame_rel_tol: float = DEFAULT_FRAME_RTOL,
 ) -> tuple[InvariantVector, CurvaturePoint]:
     """Invariant vector plus the curvature data it was computed from."""
     n = spec.dim
     if max_order < 2:
         raise ValueError("invariants start at order 2")
-    if s_range < 0:
-        raise ValueError(f"the highest power of A must be >= 0, got {s_range}")
     out_order = 1 if with_gradients else 0
     order = required_jet_order(n, max_order, with_gradients)
     curv = curvature_point(spec, point, order, s_max=max(0, max_order - 2))
@@ -425,8 +412,7 @@ def invariant_sample(
             else:
                 for k in range(3, max_order + 1):
                     h_labels, h_values = higher_invariants(
-                        curv, frame, curv.ricci_op, k,
-                        s_range=s_range, with_gradients=with_gradients,
+                        curv, frame, curv.ricci_op, k, with_gradients=with_gradients
                     )
                     labels.extend(h_labels)
                     values.extend(h_values)
@@ -435,7 +421,6 @@ def invariant_sample(
         labels=tuple(labels),
         values=tuple(values),
         max_order=max_order,
-        point=tuple(float(x) for x in point),
         warnings=tuple(warnings),
     )
     return iv, curv
@@ -446,8 +431,7 @@ def invariant_vector(
     point: Sequence[float],
     max_order: int = 2,
     with_gradients: bool = False,
-    s_range: int = 1,
 ) -> InvariantVector:
     """Concatenated invariant blocks up to `max_order` at one point."""
-    iv, _ = invariant_sample(spec, point, max_order, with_gradients, s_range)
+    iv, _ = invariant_sample(spec, point, max_order, with_gradients)
     return iv

@@ -17,7 +17,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .curvature import CurvaturePoint
 from .errors import (
     AllPointsSingularError,
     DomainError,
@@ -25,7 +24,6 @@ from .errors import (
 )
 from .invariants import (
     DEFAULT_FRAME_RTOL,
-    InvariantVector,
     invariant_sample,
     numerical_rank,
 )
@@ -34,16 +32,6 @@ from .metriclang import MetricSpec
 VANISHING_TOL = 1e-8
 # largest invariant-gradient norm that `homogeneous_test` reads as constant
 HOMOGENEOUS_GRAD_TOL = 1e-7
-
-
-def invariant_jacobian(
-    spec: MetricSpec,
-    point: Sequence[float],
-    max_order: int = 2,
-) -> np.ndarray:
-    """Matrix of invariant gradients: rows invariants, columns coordinates."""
-    iv, _ = invariant_sample(spec, point, max_order=max_order, with_gradients=True)
-    return iv.jacobian()
 
 
 @dataclass(frozen=True)

@@ -235,14 +235,41 @@ def test_directory_as_metric_exit_2(capsys, tmp_path):
     assert "input error" in err
 
 
+@pytest.mark.parametrize("expr", [
+    "+".join(["1"] * 3000),
+    "(" * 2000 + "1" + ")" * 2000,
+    "-" * 3000 + "1",
+], ids=["long-sum", "nested-parentheses", "unary-minuses"])
+def test_deeply_nested_expression_exit_2(capsys, tmp_path, expr):
+    path = tmp_path / "deep.metric"
+    path.write_text(f"dim = 2\ncoords = [x, y]\ng[1,1] = {expr}\ng[2,2] = 1\n")
+    code, out, err = run_cli(capsys, "curvature", "--metric", str(path), "--point", "x=0,y=0")
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err and "Traceback" not in err
+
+
+def test_out_of_memory_exit_2(capsys, metric_files, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 1.40 GiB")
+
+    monkeypatch.setattr("metricinv.cli.curvature_point", exhausted)
+    code, out, err = run_cli(
+        capsys, "curvature", "--metric", metric_files["sphere2"],
+        "--point", "x=1,y=0", "--order", "18",
+    )
+    assert code == 2
+    assert out == ""
+    assert "needs more memory" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, name", [
     (["homogeneity", "--box", "x=0:3,y=0:3", "--seed", "5", "--samples", "0"], "sample"),
     (["count", "--dim", "3", "--max-k", "-2"], "max-k"),
     (["poincare", "--dim", "3", "--expand", "-1"], "k_max"),
-    (["invariants", "--point", "x=1,y=0.5", "--a-power-range", "-1"], "power of A"),
 ])
 def test_out_of_range_counts_exit_2(capsys, metric_files, argv, name):
-    if argv[0] in ("homogeneity", "invariants"):
+    if argv[0] == "homogeneity":
         argv = argv[:1] + ["--metric", metric_files["revolution"]] + argv[1:]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

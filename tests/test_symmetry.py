@@ -6,11 +6,11 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from metricinv.errors import AllPointsSingularError
+from metricinv.invariants import invariant_vector
 from metricinv.metriclang import parse_expression, parse_metric, pullback_metric
 from metricinv.symmetry import (
     homogeneity,
     homogeneous_test,
-    invariant_jacobian,
     numerical_rank,
 )
 
@@ -46,17 +46,17 @@ def test_numerical_rank_properties(values, rel_tol):
 
 
 def test_invariant_jacobian_zero_on_sphere(sphere2):
-    jac = invariant_jacobian(sphere2, (1.2, 0.7), max_order=2)
+    jac = invariant_vector(sphere2, (1.2, 0.7), max_order=2, with_gradients=True).jacobian()
     assert np.max(np.abs(jac)) < 1e-10
 
 
 def test_invariant_jacobian_zero_on_flat(flat3):
-    jac = invariant_jacobian(flat3, (0.3, -0.2, 0.5), max_order=2)
+    jac = invariant_vector(flat3, (0.3, -0.2, 0.5), max_order=2, with_gradients=True).jacobian()
     assert np.max(np.abs(jac)) < 1e-12
 
 
 def test_invariant_jacobian_revolution_depends_on_x_only(revolution):
-    jac = invariant_jacobian(revolution, (0.8, 0.4), max_order=2)
+    jac = invariant_vector(revolution, (0.8, 0.4), max_order=2, with_gradients=True).jacobian()
     assert np.max(np.abs(jac[:, 1])) < 1e-10  # y column vanishes
     assert np.max(np.abs(jac[:, 0])) > 1e-3
 
