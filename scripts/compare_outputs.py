@@ -16,7 +16,13 @@ root's `src/`, and `perfbench/` for the workload inputs:
   compared the same way;
 - tower3d ops 0-3 of seeds 11 and 7919: labels, values, Jacobian and
   the full coefficient array of every Jet;
-- survey4d ops 0-39 of seeds 11 and 7919: the whole `RankReport`.
+- survey4d ops 0-39 of seeds 11 and 7919: the whole `RankReport`;
+- on two inline generic metrics with regular Tresse frames, n = 2 and a
+  Lorentzian n = 4, `invariant_vector(max_order=3, with_gradients=True)`
+  and `invariant_vector(max_order=4)` as for tower3d, and
+  `homogeneity(n_samples=3, max_order=3, seed=7)` as for survey4d. With
+  the tower3d ops they reach the full-order pass that `invariant_sample`
+  runs only on a regular frame, in every dimension class.
 
 Floats are compared through their shortest repr, which round-trips
 exactly. Prints the first difference and exits 1, or prints the number
@@ -50,6 +56,26 @@ POINTS = {
     "schwarzschild": "t=0,r=3,th=1,ph=0.5",
     "sphere2": "x=1.1,y=0.4",
     "sphere3": "x=1.1,y=0.8,z=0.3",
+}
+# Generic metrics, each with a point where its Tresse frame is regular; the
+# `homogeneity` probes sample [0, 1]^n.
+INLINE_METRICS = {
+    "surface": (
+        "dim = 2; coords = [x, y];"
+        " g[1,1] = 2 + 0.3*sin(0.7*x) + 0.2*sin(1.3*y);"
+        " g[1,2] = 0.1*sin(0.9*x);"
+        " g[2,2] = 2 + 0.25*sin(1.1*y) + 0.15*sin(0.6*x)",
+        (0.3, 0.4),
+    ),
+    "lorentzian": (
+        "dim = 4; coords = [t, x, y, z]; signature = [-1, +1, +1, +1];"
+        " g[1,1] = -(2 + 0.3*sin(0.7*x) + 0.2*sin(1.3*t));"
+        " g[2,2] = 2 + 0.25*sin(1.1*y) + 0.15*sin(0.6*z);"
+        " g[3,3] = 2 + 0.2*sin(0.8*z) + 0.1*sin(1.2*t);"
+        " g[4,4] = 2 + 0.3*sin(0.5*t) + 0.2*sin(0.9*x);"
+        " g[2,3] = 0.1*sin(0.9*t)",
+        (0.1, 0.2, 0.3, 0.4),
+    ),
 }
 BOXES = {
     "flat2": "x=-1:1,y=-1:1",
@@ -96,11 +122,11 @@ def _cli_probes(cli):
             yield " ".join(argv), _cli_run(cli, argv)
 
 
-def _invariant_doc(iv):
+def _invariant_doc(iv, with_gradients=True):
     return {
         "labels": list(iv.labels),
         "values": iv.values_array().tolist(),
-        "jacobian": iv.jacobian().tolist(),
+        "jacobian": iv.jacobian().tolist() if with_gradients else None,
         "coeffs": [v.c.tolist() for v in iv.values],
         "warnings": list(iv.warnings),
     }
@@ -123,13 +149,34 @@ def _workload_probes(workloads, root):
             yield f"survey4d seed {seed} op {op}", run
 
 
+def _inline_probes(metricinv):
+    for name, (text, point) in INLINE_METRICS.items():
+        spec = metricinv.parse_metric(text)
+        box = [(0.0, 1.0)] * spec.dim
+        for max_order, with_gradients in ((3, True), (4, False)):
+            def run(spec=spec, point=point, max_order=max_order, grad=with_gradients):
+                iv = metricinv.invariant_vector(spec, point, max_order, grad)
+                return _invariant_doc(iv, grad)
+
+            yield f"{name} invariant_vector max_order {max_order} gradients {with_gradients}", run
+
+        def run(spec=spec, box=box):
+            report = metricinv.homogeneity(spec, box, n_samples=3, max_order=3, seed=7)
+            return dataclasses.asdict(report)
+
+        yield f"{name} homogeneity", run
+
+
 def probe(root: Path) -> None:
     """Print `name<TAB>json` for every probe, run on `root`'s code."""
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import metricinv
     from metricinv import cli
     import workloads
 
-    for name, run in [*_cli_probes(cli), *_workload_probes(workloads, root)]:
+    for name, run in [
+        *_cli_probes(cli), *_workload_probes(workloads, root), *_inline_probes(metricinv)
+    ]:
         try:
             out = run()
         except Exception as exc:  # a failure is an output to compare too

@@ -126,36 +126,6 @@ def exterior_square(a_mat: np.ndarray, ctx: _JetContext) -> np.ndarray:
     )
 
 
-def weyl_operator_trace(
-    a_op: TensorComponents,
-    w_lower: TensorComponents,
-    g_inv: TensorComponents,
-    a: int,
-    b: int,
-    c: int,
-) -> Jet:
-    """Tr of Lambda^2(A)^a composed with W^b composed with Lambda^2(A)^c.
-
-    Reference implementation by explicit triple matrix product; the batch
-    path in `weyl_traces` relies on the cyclic trace identity and must
-    agree with this.
-    """
-    n = a_op.n
-    order = min(a_op.order, w_lower.order, g_inv.order)
-    ctx = _context(n, order)
-    w_op = weyl_bivector_operator(w_lower.truncate(order), g_inv.truncate(order))
-    lam = exterior_square(a_op.truncate(order).coeffs, ctx)
-
-    def mat_pow(mat, e):
-        out = _jet_identity(mat.shape[0], ctx)
-        for _ in range(e):
-            out = contract(out, mat, ctx)
-        return out
-
-    total = contract(contract(mat_pow(lam, a), mat_pow(w_op, b), ctx), mat_pow(lam, c), ctx)
-    return _trace(total, n, order)
-
-
 def weyl_traces(
     a_op: TensorComponents,
     w_lower: TensorComponents | None,
@@ -226,6 +196,12 @@ class TresseFrame:
     condition_number: float
 
 
+def _gradient_rank(invariants: Sequence[Jet], rel_tol: float) -> tuple[np.ndarray, int]:
+    """Singular values and numerical rank of the invariants' gradient matrix."""
+    sv = np.linalg.svd(np.array([j.gradient() for j in invariants]), compute_uv=False)
+    return sv, numerical_rank(sv, rel_tol)
+
+
 def tresse_frame(
     invariants: Sequence[Jet], rel_tol: float = DEFAULT_FRAME_RTOL
 ) -> TresseFrame:
@@ -243,9 +219,7 @@ def tresse_frame(
     order = min(j.order for j in invariants)
     if order < 1:
         raise InsufficientOrderError("Tresse frame needs invariant jets of order >= 1")
-    jac = np.array([j.gradient() for j in invariants])
-    sv = np.linalg.svd(jac, compute_uv=False)
-    rank = numerical_rank(sv, rel_tol)
+    sv, rank = _gradient_rank(invariants, rel_tol)
     if rank < n:
         raise SingularFrameError(rank)
     base = np.array([j.truncate(order).c for j in invariants])
@@ -362,6 +336,11 @@ def required_jet_order(n: int, max_order: int, with_gradients: bool) -> int:
     return max_order + out
 
 
+def _base_invariants(curv: CurvaturePoint) -> list[Jet]:
+    """The n invariants the Tresse frame is built on."""
+    return surface_invariant_pair(curv) if curv.n == 2 else ricci_traces(curv.ricci_op)
+
+
 def invariant_sample(
     spec: MetricSpec,
     point: Sequence[float],
@@ -369,27 +348,35 @@ def invariant_sample(
     with_gradients: bool = False,
     frame_rel_tol: float = DEFAULT_FRAME_RTOL,
 ) -> tuple[InvariantVector, CurvaturePoint]:
-    """Invariant vector plus the curvature data it was computed from."""
+    """Invariant vector plus the curvature data it was computed from.
+
+    The order-2 block and the frame's rank test read the base invariants
+    at jet order 1 only, which the gate order `required_jet_order(n, 2,
+    True)` provides. Where the full order is above it, the pipeline runs
+    at the gate order first, and again at the full order only on a regular
+    frame: on a singular one no output reads the higher orders, and the
+    curvature data returned is that of the gate order.
+    """
     n = spec.dim
     if max_order < 2:
         raise ValueError("invariants start at order 2")
     out_order = 1 if with_gradients else 0
     order = required_jet_order(n, max_order, with_gradients)
-    curv = curvature_point(spec, point, order, s_max=max(0, max_order - 2))
+    gate = required_jet_order(n, 2, with_gradients=True)
+    two_pass = order > gate
+    if two_pass:
+        curv = curvature_point(spec, point, gate, s_max=0)
+    else:
+        curv = curvature_point(spec, point, order, s_max=max(0, max_order - 2))
 
-    labels: list[str] = []
+    labels: list[str] = ["I1", "I2'"] if n == 2 else [f"I{i + 1}" for i in range(n)]
     values: list[Jet] = []
     warnings: list[str] = []
 
     # overflow and NaN are not warned about where they arise: each block is
     # checked for non-finite entries, and raises DomainError, once it is built
     with np.errstate(over="ignore", invalid="ignore"):
-        if n == 2:
-            base = surface_invariant_pair(curv)
-            labels.extend(["I1", "I2'"])
-        else:
-            base = ricci_traces(curv.ricci_op)
-            labels.extend(f"I{i + 1}" for i in range(n))
+        base = _base_invariants(curv)
         values.extend(j.truncate(out_order) for j in base)
         _require_finite(point, **{"base invariants": np.array([v.c for v in values])})
 
@@ -402,6 +389,11 @@ def invariant_sample(
             values.extend(j_values)
 
         if max_order >= 3:
+            # truncation commutes exactly with the pipeline, so the gradients
+            # and the rank are the same at both orders
+            if two_pass and _gradient_rank(base, frame_rel_tol)[1] == n:
+                curv = curvature_point(spec, point, order, s_max=max_order - 2)
+                base = _base_invariants(curv)
             try:
                 frame = tresse_frame(base, rel_tol=frame_rel_tol)
             except SingularFrameError as exc:

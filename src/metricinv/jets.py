@@ -179,10 +179,6 @@ class Jet:
         c[0] = value
         return Jet(n_vars, order, c)
 
-    @staticmethod
-    def zero(n_vars: int, order: int) -> "Jet":
-        return Jet(n_vars, order, np.zeros(_context(n_vars, order).size))
-
     # -- basic queries -----------------------------------------------------
 
     @property

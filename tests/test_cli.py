@@ -364,6 +364,23 @@ def test_homogeneity_all_singular_exit_3(capsys, tmp_path):
     assert "AllPointsSingular" in err
 
 
+def test_homogeneity_ignores_overflow_above_a_singular_frame(capsys, tmp_path):
+    # The 3-sphere scaled by 1e80 has a singular Tresse frame, and its
+    # order-4 inverse-metric coefficients overflow. Only the higher
+    # invariants would read them, and those are omitted on that frame.
+    path = tmp_path / "scaled_sphere3.metric"
+    path.write_text(
+        "dim=3; coords=[x,y,z]; g[1,1]=1e80; g[2,2]=1e80*sin(x)^2;"
+        " g[3,3]=1e80*sin(x)^2*sin(y)^2\n"
+    )
+    doc = run_json(
+        capsys, "homogeneity", "--metric", str(path),
+        "--box", "x=0.6:2.4,y=0.6:2.4,z=0:3", "--samples", "4",
+        "--max-order", "3", "--seed", "7",
+    )
+    assert doc["results"]["homogeneity"] == 3
+
+
 def test_float_round_trip_in_json(capsys, metric_files):
     doc = run_json(
         capsys, "curvature", "--metric", metric_files["sphere2"],

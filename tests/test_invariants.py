@@ -12,16 +12,17 @@ from metricinv.counting import delta_count, s_count, weyl_trace_count
 from metricinv.curvature import TensorComponents, curvature_point
 from metricinv.errors import DomainError, SingularFrameError, UnsupportedDimensionError
 from metricinv.invariants import (
+    exterior_square,
     higher_invariants,
     invariant_sample,
     invariant_vector,
     ricci_traces,
     surface_invariant_pair,
     tresse_frame,
-    weyl_operator_trace,
+    weyl_bivector_operator,
     weyl_traces,
 )
-from metricinv.jets import Jet
+from metricinv.jets import Jet, _context, contract
 from metricinv.metriclang import eval_expr, parse_expression, parse_metric, pullback_metric
 from metricinv.symmetry import numerical_rank
 
@@ -101,6 +102,29 @@ def test_weyl_trace_matches_kretschmann(schwarzschild):
     coords, g = sympy_oracle.read_metric(SCHWARZSCHILD)
     k_oracle = sympy_oracle.kretschmann(coords, g, point)
     assert KRETSCHMANN_PER_WEYL_TRACE * tr_w2 == pytest.approx(k_oracle, rel=1e-10)
+
+
+def weyl_operator_trace(a_op, w_lower, g_inv, a, b, c):
+    """Tr of Lambda^2(A)^a composed with W^b composed with Lambda^2(A)^c.
+
+    The oracle for `weyl_traces`: an explicit triple matrix product, where
+    the batch path relies on the cyclic trace identity.
+    """
+    n = a_op.n
+    order = min(a_op.order, w_lower.order, g_inv.order)
+    ctx = _context(n, order)
+    w_op = weyl_bivector_operator(w_lower.truncate(order), g_inv.truncate(order))
+    lam = exterior_square(a_op.truncate(order).coeffs, ctx)
+
+    def mat_pow(mat, e):
+        out = curvature._jet_identity(mat.shape[0], ctx)
+        for _ in range(e):
+            out = contract(out, mat, ctx)
+        return out
+
+    total = contract(contract(mat_pow(lam, a), mat_pow(w_op, b), ctx), mat_pow(lam, c), ctx)
+    diag = np.arange(total.shape[0])
+    return Jet(n, order, total[diag, diag].sum(axis=0))
 
 
 def test_weyl_trace_cyclic_identity():

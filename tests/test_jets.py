@@ -231,7 +231,7 @@ def test_seed_partial_round_trip(terms):
     point = (0.7, -0.4)
     x = seed(point, 0, 4)
     y = seed(point, 1, 4)
-    jet = Jet.zero(2, 4)
+    jet = Jet.constant(0.0, 2, 4)
     for coeff, px, py in terms:
         jet = jet + coeff * (x**px) * (y**py)
 
