@@ -10,8 +10,10 @@ root's `src/`, and `perfbench/` for the workload inputs:
 
 - the CLI `curvature --order 4`, `invariants --max-order 3` and
   `--max-order 4`, and `homogeneity --samples 6 --max-order 3 --seed 7`
-  on every file in `metrics/`: exit code, JSON report without
-  `wall_time_s`, and stderr;
+  on every file in `metrics/`, and the defaults `curvature` with no
+  `--order` and `homogeneity --samples 6 --seed 7` with no
+  `--max-order`: exit code, JSON report without `wall_time_s`, and
+  stderr;
 - the CLI `poincare --expand 24` and `count --max-k 24` for n = 2..32,
   compared the same way;
 - tower3d ops 0-3 of seeds 11 and 7919: labels, values, Jacobian and
@@ -108,10 +110,12 @@ def _cli_probes(cli):
         point, box = POINTS[name], BOXES[name]
         for argv in (
             ["curvature", "--metric", path, "--point", point, "--order", "4"],
+            ["curvature", "--metric", path, "--point", point],
             ["invariants", "--metric", path, "--point", point, "--max-order", "3"],
             ["invariants", "--metric", path, "--point", point, "--max-order", "4"],
             ["homogeneity", "--metric", path, "--box", box,
              "--samples", "6", "--max-order", "3", "--seed", "7"],
+            ["homogeneity", "--metric", path, "--box", box, "--samples", "6", "--seed", "7"],
         ):
             yield " ".join(argv[:3] + argv[5:]), _cli_run(cli, argv)
     for n in COUNT_DIMS:

@@ -20,7 +20,7 @@ from .counting import (
 from .curvature import CurvaturePoint, TensorComponents, curvature_point
 from .invariants import InvariantVector, TresseFrame, invariant_vector
 from .jets import Jet, apply_fn, seed
-from .metriclang import MetricSpec, eval_expr, format_metric, parse_metric
+from .metriclang import MetricSpec, eval_expr, parse_metric
 from .symmetry import RankReport, homogeneity, homogeneous_test, numerical_rank
 
 __version__ = "0.1.0"
@@ -38,7 +38,6 @@ __all__ = [
     "curvature_point",
     "delta_count",
     "eval_expr",
-    "format_metric",
     "homogeneity",
     "homogeneous_test",
     "invariant_vector",

@@ -135,19 +135,18 @@ def _tensor_lists(values: np.ndarray):
 def cmd_curvature(args) -> Report:
     spec, digest = _load_metric(args.metric)
     point = _parse_point(args.point, spec)
-    order = args.order if args.order is not None else 2
-    if order < 2:
-        raise ValueError(f"--order must be >= 2, got {order}")
+    if args.order < 2:
+        raise ValueError(f"--order must be >= 2, got {args.order}")
     report = Report(
         command="curvature",
         parameters={
             "metric": args.metric,
             "point": {c: p for c, p in zip(spec.coords, point)},
-            "order": order,
+            "order": args.order,
         },
         metric_digest=digest,
     )
-    curv = curvature_point(spec, point, order)
+    curv = curvature_point(spec, point, args.order)
     report.results = {
         "dim": spec.dim,
         "coords": list(spec.coords),
@@ -352,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curvature", help="curvature tensors at a point", parents=[common])
     p.add_argument("--metric", required=True, help="metric definition file")
     p.add_argument("--point", required=True, help='evaluation point, e.g. "x=1,y=0.5"')
-    p.add_argument("--order", type=int, default=None, help="metric jet order (default 2)")
+    p.add_argument("--order", type=int, default=2, help="metric jet order (default 2)")
     p.set_defaults(func=cmd_curvature)
 
     p = sub.add_parser("invariants", parents=[common], help="scalar invariants at a point")

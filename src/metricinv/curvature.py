@@ -83,9 +83,6 @@ class TensorComponents:
     def ctx(self) -> _JetContext:
         return _context(self.n, self.order)
 
-    def __getitem__(self, idx) -> Jet:
-        return Jet(self.n, self.order, self.coeffs[idx])
-
     def values(self) -> np.ndarray:
         """Constant terms as a plain float array."""
         return self.coeffs[..., 0].copy()

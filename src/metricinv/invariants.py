@@ -126,13 +126,8 @@ def exterior_square(a_mat: np.ndarray, ctx: _JetContext) -> np.ndarray:
     )
 
 
-def weyl_traces(
-    a_op: TensorComponents,
-    w_lower: TensorComponents | None,
-    g_inv: TensorComponents,
-    order: int | None = None,
-) -> tuple[list[str], list[Jet]]:
-    """Traces Tr(W^{a,b,c}) of the bivector operators, deduplicated.
+def weyl_traces(curv: CurvaturePoint, order: int) -> tuple[list[str], list[Jet]]:
+    """Traces Tr(W^{a,b,c}) of the bivector operators, as jets of order <= `order`.
 
     Powers of A act on Lambda^2 TM through the exterior square, under
     which Lambda^2(A)^a Lambda^2(A)^c = Lambda^2(A)^{a+c}; the cyclic
@@ -142,23 +137,17 @@ def weyl_traces(
     independent order-2 invariants beyond the power traces,
     (n+2)(n+1)n(n-3)/12; powers are formed only as far as the cut reaches.
     """
-    n = a_op.n
+    n = curv.n
     if n < 3:
         raise UnsupportedDimensionError("Weyl trace invariants need n >= 3")
     if n == 3:
         return [], []
-    assert w_lower is not None
     from .counting import weyl_trace_count
 
-    if order is not None:
-        a_op = a_op.truncate(min(order, a_op.order))
-        w_lower = w_lower.truncate(min(order, w_lower.order))
-        g_inv = g_inv.truncate(min(order, g_inv.order))
-
-    w_op = weyl_bivector_operator(w_lower, g_inv)
-    w_order = min(w_lower.order, g_inv.order)
+    w_order = min(order, curv.weyl.order, curv.g_inv.order)
+    w_op = weyl_bivector_operator(curv.weyl.truncate(w_order), curv.g_inv.truncate(w_order))
     ctx = _context(n, w_order)
-    lam = exterior_square(a_op.truncate(w_order).coeffs, ctx)
+    lam = exterior_square(curv.ricci_op.truncate(w_order).coeffs, ctx)
     n_biv = w_op.shape[0]
 
     # (s, b) = (a + c, b) in emission order; within one s, b runs 1..n_biv,
@@ -238,7 +227,6 @@ def tresse_frame(
 def higher_invariants(
     curv: CurvaturePoint,
     frame: TresseFrame,
-    a_op: TensorComponents,
     k: int,
     with_gradients: bool = False,
 ) -> tuple[list[str], list[Jet]]:
@@ -270,7 +258,7 @@ def higher_invariants(
         )
     ctx = _context(n, out_order)
     f = frame.frame.truncate(out_order).coeffs
-    a = a_op.truncate(out_order).coeffs
+    a = curv.ricci_op.truncate(out_order).coeffs
 
     # families: columns w = s*n + j hold A^s applied to frame vector j
     w = np.concatenate([f, contract(a, f, ctx)], axis=1)
@@ -381,9 +369,7 @@ def invariant_sample(
         _require_finite(point, **{"base invariants": np.array([v.c for v in values])})
 
         if n >= 4:
-            j_labels, j_values = weyl_traces(
-                curv.ricci_op, curv.weyl, curv.g_inv, order=out_order
-            )
+            j_labels, j_values = weyl_traces(curv, out_order)
             _require_finite(point, **{"Weyl traces": np.array([v.c for v in j_values])})
             labels.extend(j_labels)
             values.extend(j_values)
@@ -404,7 +390,7 @@ def invariant_sample(
             else:
                 for k in range(3, max_order + 1):
                     h_labels, h_values = higher_invariants(
-                        curv, frame, curv.ricci_op, k, with_gradients=with_gradients
+                        curv, frame, k, with_gradients=with_gradients
                     )
                     labels.extend(h_labels)
                     values.extend(h_values)

@@ -3,7 +3,7 @@
 A Jet stores the Taylor coefficients c_alpha = (d^alpha f) / alpha! of a
 scalar function at a fixed base point, for all multi-indices |alpha| <= K.
 Storing coefficients rather than raw derivatives keeps multiplication a
-plain truncated convolution; `partial` multiplies by alpha! on exit.
+plain truncated convolution; the raw derivative d^alpha f is alpha! c_alpha.
 
 Coefficient storage is dense over the full simplex of multi-indices,
 enumerated in graded lexicographic order so that the degree <= d block is a
@@ -200,20 +200,6 @@ class Jet:
             raise InsufficientOrderError("gradient needs a jet of order >= 1")
         return self.c[1 : 1 + self.n_vars].copy()
 
-    def partial(self, multiindex: Sequence[int]) -> float:
-        """The raw derivative d^alpha f = alpha! * c_alpha."""
-        alpha = tuple(int(a) for a in multiindex)
-        if len(alpha) != self.n_vars or any(a < 0 for a in alpha):
-            raise ShapeMismatchError(f"bad multi-index {alpha}")
-        if sum(alpha) > self.order:
-            raise OrderExceededError(
-                f"|alpha|={sum(alpha)} exceeds jet order {self.order}"
-            )
-        fact = 1.0
-        for a in alpha:
-            fact *= math.factorial(a)
-        return float(self.c[self.ctx.index[alpha]] * fact)
-
     def truncate(self, order: int) -> "Jet":
         """Restrict to a lower order (graded prefix of the coefficients)."""
         if order == self.order:
@@ -239,13 +225,7 @@ class Jet:
         if isinstance(other, Jet):
             self._check_compatible(other)
             return Jet(self.n_vars, self.order, self.c + other.c)
-        if isinstance(other, Real):
-            c = self.c.copy()
-            c[0] += other
-            return Jet(self.n_vars, self.order, c)
         return NotImplemented
-
-    __radd__ = __add__
 
     def __neg__(self):
         return Jet(self.n_vars, self.order, -self.c)
@@ -260,9 +240,6 @@ class Jet:
             return Jet(self.n_vars, self.order, c)
         return NotImplemented
 
-    def __rsub__(self, other):
-        return (-self).__add__(other)
-
     def __mul__(self, other):
         if isinstance(other, Jet):
             self._check_compatible(other)
@@ -276,28 +253,7 @@ class Jet:
     def __truediv__(self, other):
         if isinstance(other, Jet):
             return self * apply_fn("recip", other)
-        if isinstance(other, Real):
-            return Jet(self.n_vars, self.order, self.c / float(other))
         return NotImplemented
-
-    def __rtruediv__(self, other):
-        if isinstance(other, Real):
-            return apply_fn("recip", self) * float(other)
-        return NotImplemented
-
-    def __pow__(self, exponent):
-        if isinstance(exponent, int):
-            return _int_pow(self, exponent)
-        if isinstance(exponent, Fraction):
-            return jet_pow(self, exponent)
-        return NotImplemented
-
-    def __eq__(self, other):
-        if not isinstance(other, Jet):
-            return NotImplemented
-        return self.ctx is other.ctx and bool(np.all(self.c == other.c))
-
-    __hash__ = None
 
     def __repr__(self):
         terms = []

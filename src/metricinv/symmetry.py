@@ -72,7 +72,11 @@ def _sample_points(
     hi = np.array([b[1] for b in box])
     if np.any(hi <= lo):
         raise ValueError("sampling box must have positive extent in every axis")
-    return [tuple(lo + rng.random(len(box)) * (hi - lo)) for _ in range(n_samples)]
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    if not np.all(np.isfinite(width)):
+        raise ValueError("sampling box is too wide: an axis's width overflows")
+    return [tuple(lo + rng.random(len(box)) * width) for _ in range(n_samples)]
 
 
 def homogeneity(

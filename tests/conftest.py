@@ -1,11 +1,30 @@
 """Shared fixtures: canonical metrics and seeded random metric families."""
 
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from metricinv.jets import Jet
 from metricinv.metriclang import parse_metric
+
+def partial(jet, alpha) -> float:
+    """The raw derivative d^alpha f = alpha! * c_alpha of a jet."""
+    alpha = tuple(alpha)
+    fact = math.prod(math.factorial(a) for a in alpha)
+    return float(jet.c[jet.ctx.index[alpha]] * fact)
+
+
+def component(t, idx) -> Jet:
+    """The jet of one component of a `TensorComponents`."""
+    return Jet(t.n, t.order, t.coeffs[idx])
+
+
+def same_jet(a, b) -> bool:
+    """Bitwise equality of two jets in the same variables at the same order."""
+    return a.ctx is b.ctx and np.array_equal(a.c, b.c)
+
 
 METRICS_DIR = Path(__file__).resolve().parents[1] / "metrics"
 

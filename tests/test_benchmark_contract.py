@@ -3,9 +3,12 @@
 `perfbench/` drives metricinv through its workloads and wraps the module
 attributes listed in `tracing.BOUNDARIES`. A keyword the workloads pass,
 or an attribute the tracer wraps, that the package no longer has breaks
-the benchmark; these tests catch that with the rest of the suite.
+the benchmark; these tests catch that with the rest of the suite. So do
+the mirrors of perfbench's own wrong-output tests, which need `Jet *
+float` and `dataclasses.replace` on the package's result types.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -44,3 +47,32 @@ def test_tracer_wraps_and_restores_every_boundary():
         for (owner, attr, _), original in zip(tracing.BOUNDARIES, originals)
     )
     assert {attr: jets.Jet.__dict__[attr] for attr in jet_methods} == jet_methods
+
+
+def _first(workload, op):
+    inp = workload.inputs(op)
+    out = workload.run(inp)
+    assert workload.check(inp, out) is None
+    return inp, out
+
+
+def test_survey4d_check_rejects_wrong_reports():
+    workload = workloads.Survey4d(11, ROOT)
+    inp, report = _first(workload, 0)
+    assert inp.metric == "schwarzschild"
+    assert workload.check(inp, dataclasses.replace(report, homogeneity=2)) is not None
+    inp, report = _first(workload, 1)
+    assert inp.metric == "ppwave"
+    wrong = dataclasses.replace(report, regularity_warning=False, claims_killing_fields=True)
+    assert workload.check(inp, wrong) is not None
+
+
+def test_tower3d_check_rejects_wrong_invariants():
+    workload = workloads.Tower3d(11, ROOT)
+    inp, (spec, iv) = _first(workload, 0)
+    assert inp.affine is not None
+    short = dataclasses.replace(iv, labels=iv.labels[:-1], values=iv.values[:-1])
+    assert workload.check(inp, (spec, short)) is not None
+    nudged = dataclasses.replace(iv, values=(iv.values[0] * (1 + 1e-7),) + iv.values[1:])
+    assert nudged.values_array()[0] != iv.values_array()[0]
+    assert "I1" in workload.check(inp, (spec, nudged))

@@ -71,6 +71,7 @@ def test_curvature_command_sphere(capsys, metric_files):
     )
     assert doc["results"]["scalar_curvature"] == pytest.approx(2.0, rel=1e-12)
     assert doc["results"]["weyl"] is None
+    assert doc["parameters"]["order"] == 2  # the default jet order
     assert "metric_digest" in doc
 
 
@@ -224,6 +225,22 @@ def test_point_and_box_reject_repeated_and_non_finite(
     assert code == 2
     assert out == ""
     assert f"{coord!r}" in err
+
+
+@pytest.mark.parametrize("name", ["flat2", "revolution"])
+def test_box_whose_width_overflows_exit_2(capsys, name):
+    # each end is finite, but hi - lo is not
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(
+            capsys, "homogeneity", "--metric", str(METRICS_DIR / f"{name}.metric"),
+            "--box", "x=-1e308:1e308,y=0:1", "--seed", "1", "--samples", "2",
+        )
+    assert code == 2
+    assert out == ""
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "RuntimeWarning" not in err
+    assert "input error" in err and "too wide" in err
 
 
 def test_directory_as_metric_exit_2(capsys, tmp_path):

@@ -32,7 +32,9 @@ from conftest import (
     METRICS_DIR,
     SCHWARZSCHILD,
     SPHERE2,
+    component,
     flat_metric_text,
+    partial,
     random_polynomial_metric_text,
 )
 import sympy_oracle
@@ -61,13 +63,13 @@ def test_metric_at_sphere_inverse_jets(sphere2):
     _, ginv = metric_at(sphere2, S2_POINT, 2)
     csc2 = 1 / math.sin(x0) ** 2
     cot = math.cos(x0) / math.sin(x0)
-    jet = ginv[1, 1]
+    jet = component(ginv, (1, 1))
     assert jet.value == pytest.approx(csc2, rel=1e-13)
-    assert jet.partial((1, 0)) == pytest.approx(-2 * csc2 * cot, rel=1e-12)
-    assert jet.partial((2, 0)) == pytest.approx(
+    assert partial(jet, (1, 0)) == pytest.approx(-2 * csc2 * cot, rel=1e-12)
+    assert partial(jet, (2, 0)) == pytest.approx(
         4 * csc2 * cot**2 + 2 * csc2**2, rel=1e-11
     )
-    assert ginv[0, 0].value == pytest.approx(1.0, rel=1e-14)
+    assert ginv.values()[0, 0] == pytest.approx(1.0, rel=1e-14)
 
 
 def test_metric_at_degenerate_point():
@@ -133,7 +135,7 @@ def test_metric_inverse_is_jet_level(sphere2):
         for j in range(2):
             acc = None
             for k in range(2):
-                term = g[i, k] * ginv[k, j]
+                term = component(g, (i, k)) * component(ginv, (k, j))
                 acc = term if acc is None else acc + term
             target = 1.0 if i == j else 0.0
             assert abs(acc.value - target) < 1e-13
@@ -143,20 +145,20 @@ def test_metric_inverse_is_jet_level(sphere2):
 def test_christoffel_sphere(sphere2):
     x0 = S2_POINT[0]
     g, ginv = metric_at(sphere2, S2_POINT, 2)
-    gam = christoffel(g, ginv)
-    assert gam[0, 1, 1].value == pytest.approx(-math.sin(x0) * math.cos(x0), rel=1e-13)
-    assert gam[1, 0, 1].value == pytest.approx(math.cos(x0) / math.sin(x0), rel=1e-13)
-    assert gam[1, 1, 0].value == gam[1, 0, 1].value
-    assert abs(gam[0, 0, 0].value) < 1e-14
+    gam = christoffel(g, ginv).values()
+    assert gam[0, 1, 1] == pytest.approx(-math.sin(x0) * math.cos(x0), rel=1e-13)
+    assert gam[1, 0, 1] == pytest.approx(math.cos(x0) / math.sin(x0), rel=1e-13)
+    assert gam[1, 1, 0] == gam[1, 0, 1]
+    assert abs(gam[0, 0, 0]) < 1e-14
 
 
 def test_christoffel_hyperbolic(hyperbolic2):
     y0 = 1.7
     g, ginv = metric_at(hyperbolic2, (0.3, y0), 2)
-    gam = christoffel(g, ginv)
-    assert gam[0, 0, 1].value == pytest.approx(-1 / y0, rel=1e-13)
-    assert gam[1, 0, 0].value == pytest.approx(1 / y0, rel=1e-13)
-    assert gam[1, 1, 1].value == pytest.approx(-1 / y0, rel=1e-13)
+    gam = christoffel(g, ginv).values()
+    assert gam[0, 0, 1] == pytest.approx(-1 / y0, rel=1e-13)
+    assert gam[1, 0, 0] == pytest.approx(1 / y0, rel=1e-13)
+    assert gam[1, 1, 1] == pytest.approx(-1 / y0, rel=1e-13)
 
 
 def test_christoffel_flat_zero(flat3):
@@ -180,14 +182,15 @@ def test_riemann_flat_zero(flat3):
 def test_riemann_sphere(sphere2):
     cp = curvature_point(sphere2, S2_POINT, 2)
     expect = math.sin(S2_POINT[0]) ** 2
-    assert cp.riemann_lower[0, 1, 0, 1].value == pytest.approx(expect, rel=1e-12)
-    assert cp.riemann_lower[0, 1, 1, 0].value == pytest.approx(-expect, rel=1e-12)
+    r = cp.riemann_lower.values()
+    assert r[0, 1, 0, 1] == pytest.approx(expect, rel=1e-12)
+    assert r[0, 1, 1, 0] == pytest.approx(-expect, rel=1e-12)
 
 
 def test_riemann_hyperbolic(hyperbolic2):
     y0 = 1.3
     cp = curvature_point(hyperbolic2, (0.2, y0), 2)
-    assert cp.riemann_lower[0, 1, 0, 1].value == pytest.approx(-1 / y0**4, rel=1e-12)
+    assert cp.riemann_lower.values()[0, 1, 0, 1] == pytest.approx(-1 / y0**4, rel=1e-12)
 
 
 def test_scalar_curvatures_constant_spaces():
@@ -297,12 +300,12 @@ def test_covariant_derivative_flat_is_partial(flat3):
         ["z^2", "1", "x + y*z"],
     ]
     t = _tensor_from_exprs(texts, coords, point, 3)
-    nabla_t = covariant_derivative(t, gam)
+    nabla_t = covariant_derivative(t, gam).values()
     for m in range(3):
         for i in range(3):
             for j in range(3):
-                assert nabla_t[m, i, j].value == pytest.approx(
-                    t[i, j].partial(tuple(1 if q == m else 0 for q in range(3))),
+                assert nabla_t[m, i, j] == pytest.approx(
+                    partial(component(t, (i, j)), tuple(1 if q == m else 0 for q in range(3))),
                     rel=1e-12, abs=1e-12,
                 )
 
@@ -356,9 +359,7 @@ def test_second_bianchi_random_metrics():
     for _ in range(4):
         spec = parse_metric(random_polynomial_metric_text(3, rng))
         cp = curvature_point(spec, tuple(rng.uniform(-0.4, 0.4, 3)), 3, s_max=1)
-        nr = np.empty((3,) * 5)
-        for idx in itertools.product(range(3), repeat=5):
-            nr[idx] = cp.nabla_r[1][idx].value
+        nr = cp.nabla_r[1].values()
         cyc = nr + nr.transpose(1, 2, 0, 3, 4) + nr.transpose(2, 0, 1, 3, 4)
         assert np.max(np.abs(cyc)) < 1e-8
 

@@ -143,10 +143,10 @@ def _one_pass(spec, point, max_order, with_gradients):
     base = surface_invariant_pair(curv) if n == 2 else ricci_traces(curv.ricci_op)
     values = [j.truncate(out_order) for j in base]
     if n >= 4:
-        values += weyl_traces(curv.ricci_op, curv.weyl, curv.g_inv, order=out_order)[1]
+        values += weyl_traces(curv, out_order)[1]
     frame = tresse_frame(base)
     for k in range(3, max_order + 1):
-        values += higher_invariants(curv, frame, curv.ricci_op, k, with_gradients)[1]
+        values += higher_invariants(curv, frame, k, with_gradients)[1]
     return np.array([v.c for v in values])
 
 
