@@ -16,6 +16,10 @@ root's `src/`, and `perfbench/` for the workload inputs:
   stderr;
 - the CLI `poincare --expand 24` and `count --max-k 24` for n = 2..32,
   compared the same way;
+- `curvature_point(order=4)` at the same point of every file in
+  `metrics/`: every jet coefficient of every tensor, the scalar
+  curvature and each `nabla^s R` included, where the CLI report holds
+  the order-0 values only;
 - tower3d ops 0-3 of seeds 11 and 7919: labels, values, Jacobian and
   the full coefficient array of every Jet;
 - survey4d ops 0-39 of seeds 11 and 7919: the whole `RankReport`;
@@ -79,6 +83,9 @@ INLINE_METRICS = {
         (0.1, 0.2, 0.3, 0.4),
     ),
 }
+CURVATURE_FIELDS = (
+    "g", "g_inv", "gamma", "riemann_lower", "ricci", "scalar", "ricci_op", "weyl",
+)
 BOXES = {
     "flat2": "x=-1:1,y=-1:1",
     "flat3": "x=-1:1,y=-1:1,z=-1:1",
@@ -124,6 +131,29 @@ def _cli_probes(cli):
             ["count", "--dim", str(n), "--max-k", str(COUNT_K)],
         ):
             yield " ".join(argv), _cli_run(cli, argv)
+
+
+def _curvature_probes(metricinv):
+    for name in sorted(POINTS):
+        spec = metricinv.parse_metric(Path(f"metrics/{name}.metric").read_text())
+        at = dict(kv.split("=") for kv in POINTS[name].split(","))
+        point = tuple(float(at[c]) for c in spec.coords)
+
+        def run(spec=spec, point=point):
+            curv = metricinv.curvature_point(spec, point, 4)
+            doc = {f: _coeffs(getattr(curv, f)) for f in CURVATURE_FIELDS}
+            doc["nabla_r"] = [_coeffs(t) for t in curv.nabla_r]
+            return doc
+
+        yield f"curvature_point {name} order 4", run
+
+
+def _coeffs(tensor):
+    """Every jet coefficient of a tensor; older checkouts hold the scalar
+    curvature as a bare `Jet`, whose coefficients are `c`."""
+    if tensor is None:
+        return None
+    return (tensor.coeffs if hasattr(tensor, "coeffs") else tensor.c).tolist()
 
 
 def _invariant_doc(iv, with_gradients=True):
@@ -179,7 +209,8 @@ def probe(root: Path) -> None:
     import workloads
 
     for name, run in [
-        *_cli_probes(cli), *_workload_probes(workloads, root), *_inline_probes(metricinv)
+        *_cli_probes(cli), *_curvature_probes(metricinv),
+        *_workload_probes(workloads, root), *_inline_probes(metricinv),
     ]:
         try:
             out = run()

@@ -156,7 +156,7 @@ def cmd_curvature(args) -> Report:
         "christoffel": _tensor_lists(curv.gamma.values()),
         "riemann_lower": _tensor_lists(curv.riemann_lower.values()),
         "ricci": _tensor_lists(curv.ricci.values()),
-        "scalar_curvature": curv.scalar.value,
+        "scalar_curvature": _tensor_lists(curv.scalar.values()),
         "ricci_operator": _tensor_lists(curv.ricci_op.values()),
         "weyl": _tensor_lists(curv.weyl.values()) if curv.weyl is not None else None,
     }

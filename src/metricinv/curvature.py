@@ -11,7 +11,8 @@ Conventions (fixed so the unit sphere has positive scalar curvature):
                  + scal (g_ik g_jl - g_il g_jk) / ((n-1)(n-2))
 
 Each tensor is a `TensorComponents`: one float array whose last axis holds
-the jet coefficients of every component. All products of components go
+the jet coefficients of every component. The scalar curvature is the
+rank-0 case, a single row of coefficients. All products of components go
 through the batched Cauchy product `jets.cauchy_product`, and contractions
 through `jets.contract`, one index at a time.
 
@@ -88,7 +89,7 @@ class TensorComponents:
         return self.coeffs[..., 0].copy()
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values()))) if self.rank else 0.0
+        return float(np.max(np.abs(self.values())))
 
     def truncate(self, order: int) -> "TensorComponents":
         """Restrict every component to a lower order (graded prefix)."""
@@ -200,8 +201,8 @@ def riemann(
 
 def ricci(
     r_mixed: TensorComponents, g_inv: TensorComponents
-) -> tuple[TensorComponents, Jet]:
-    """Ric_jl = R^i_jil and the scalar curvature g^{jl} Ric_jl."""
+) -> tuple[TensorComponents, TensorComponents]:
+    """Ric_jl = R^i_jil and the rank-0 scalar curvature g^{jl} Ric_jl."""
     n = r_mixed.n
     target = r_mixed.order
     diag = np.arange(n)
@@ -210,7 +211,7 @@ def ricci(
     ric[below] = ric.swapaxes(0, 1)[below]  # exactly symmetric
     ginv_t = g_inv.truncate(target)
     scal = cauchy_product(ginv_t.coeffs, ric, ginv_t.ctx).sum(axis=(0, 1))
-    return TensorComponents(("d", "d"), n, target, ric), Jet(n, target, scal)
+    return TensorComponents(("d", "d"), n, target, ric), TensorComponents((), n, target, scal)
 
 
 def ricci_operator(g_inv: TensorComponents, ric: TensorComponents) -> TensorComponents:
@@ -223,7 +224,7 @@ def ricci_operator(g_inv: TensorComponents, ric: TensorComponents) -> TensorComp
 def weyl(
     g: TensorComponents,
     ric: TensorComponents,
-    scal: Jet,
+    scal: TensorComponents,
     r_lower: TensorComponents,
 ) -> TensorComponents:
     """Totally trace-free part of the curvature; undefined for n = 2."""
@@ -234,7 +235,7 @@ def weyl(
     ctx = r_lower.ctx
     g_t = g.truncate(target).coeffs
     ric_t = ric.truncate(target).coeffs
-    scal_t = scal.truncate(target).c
+    scal_t = scal.truncate(target).coeffs
 
     def kulkarni(a, b):
         """[i, j, k, l] -> a_ik b_jl, the outer product with slots interleaved."""
@@ -306,7 +307,7 @@ class CurvaturePoint:
     gamma: TensorComponents
     riemann_lower: TensorComponents
     ricci: TensorComponents
-    scalar: Jet
+    scalar: TensorComponents
     ricci_op: TensorComponents
     weyl: TensorComponents | None
     s_max: int
@@ -372,7 +373,7 @@ def curvature_point(
         Riemann=r_mixed.coeffs,
         R_lower=r_lower.coeffs,
         Ricci=ric.coeffs,
-        scalar=scal.c,
+        scalar=scal.coeffs,
         A=a_op.coeffs,
         Weyl=np.zeros(0) if w is None else w.coeffs,
     )

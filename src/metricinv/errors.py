@@ -42,9 +42,9 @@ class SingularFrameError(MetricInvError):
     Jacobian so callers can report partial results.
     """
 
-    def __init__(self, rank: int, message: str | None = None):
+    def __init__(self, rank: int):
         self.rank = rank
-        super().__init__(message or f"invariant Jacobian has rank {rank}")
+        super().__init__(f"invariant Jacobian has rank {rank}")
 
 
 class AllPointsSingularError(MetricInvError):

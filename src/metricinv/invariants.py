@@ -11,10 +11,12 @@ For n = 2 the power traces degenerate (A is scalar), so the standard
 substitute pair {scalar curvature, squared gradient of the scalar
 curvature} is used instead; it feeds the same frame machinery.
 
-All outputs are jets of order 0 or 1: order 1 carries the invariant's
-gradient so the symmetry module can assemble Jacobians. Tensors, the
-bivector operators and the frame are dense jet-coefficient arrays, and
-every product among them goes through `jets.cauchy_product`.
+Each block of invariants is one `(rows, S)` float array, a row of jet
+coefficients per invariant. Tensors, the bivector operators and the frame
+are dense jet-coefficient arrays too, and every product among them goes
+through `jets.cauchy_product`. `invariant_sample` wraps the rows it emits
+as `Jet`s of order 0 or 1, each a view of its row: order 1 carries the
+invariant's gradient so the symmetry module can assemble Jacobians.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from .curvature import (
 )
 from .errors import (
     InsufficientOrderError,
+    ShapeMismatchError,
     SingularFrameError,
     UnsupportedDimensionError,
 )
@@ -56,42 +59,38 @@ def numerical_rank(
     return int(np.sum(sv > rel_tol * sv[0]))
 
 
-def _trace(mat: np.ndarray, n_vars: int, order: int) -> Jet:
-    diag = np.arange(mat.shape[0])
-    return Jet(n_vars, order, mat[diag, diag].sum(axis=0))
-
-
 # -- order-2 invariants ----------------------------------------------------------
 
 
-def ricci_traces(a_op: TensorComponents) -> list[Jet]:
-    """Power traces of the Ricci operator, Tr(A^i) for i = 1..n."""
-    n, order = a_op.n, a_op.order
+def ricci_traces(a_op: TensorComponents) -> np.ndarray:
+    """Power traces of the Ricci operator, Tr(A^i) for i = 1..n, as (n, S) rows."""
+    diag = np.arange(a_op.n)
     power = a_op.coeffs
-    traces = [_trace(power, n, order)]
-    for _ in range(n - 1):
+    traces = [power[diag, diag].sum(axis=0)]
+    for _ in range(a_op.n - 1):
         power = contract(power, a_op.coeffs, a_op.ctx)
-        traces.append(_trace(power, n, order))
-    return traces
+        traces.append(power[diag, diag].sum(axis=0))
+    return np.array(traces)
 
 
-def surface_invariant_pair(curv: CurvaturePoint) -> list[Jet]:
+def surface_invariant_pair(curv: CurvaturePoint) -> np.ndarray:
     """The n = 2 substitute pair: scalar curvature and |grad scal|^2_g.
 
     A is scal/2 times the identity in two dimensions, so the power traces
     are mutually dependent; this pair restores two generically independent
-    functions at the cost of one extra derivative order.
+    functions at the cost of one extra derivative order. Both rows are at
+    one order below the scalar curvature's.
     """
     scal = curv.scalar
     if scal.order < 1:
         raise InsufficientOrderError("surface pair needs the scalar at order >= 1")
     ginv = curv.g_inv.truncate(scal.order - 1)
     ctx = ginv.ctx
-    d_scal = partials(scal.c, scal.ctx)
+    d_scal = partials(scal.coeffs, scal.ctx)
     norm = cauchy_product(
         cauchy_product(ginv.coeffs, d_scal[:, None], ctx), d_scal[None, :], ctx
     ).sum(axis=(0, 1))
-    return [scal, Jet(curv.n, ginv.order, norm)]
+    return np.stack([scal.truncate(ginv.order).coeffs, norm])
 
 
 def weyl_bivector_operator(
@@ -126,8 +125,8 @@ def exterior_square(a_mat: np.ndarray, ctx: _JetContext) -> np.ndarray:
     )
 
 
-def weyl_traces(curv: CurvaturePoint, order: int) -> tuple[list[str], list[Jet]]:
-    """Traces Tr(W^{a,b,c}) of the bivector operators, as jets of order <= `order`.
+def weyl_traces(curv: CurvaturePoint, order: int) -> tuple[list[str], np.ndarray]:
+    """Traces Tr(W^{a,b,c}) of the bivector operators, as rows of order <= `order`.
 
     Powers of A act on Lambda^2 TM through the exterior square, under
     which Lambda^2(A)^a Lambda^2(A)^c = Lambda^2(A)^{a+c}; the cyclic
@@ -140,24 +139,25 @@ def weyl_traces(curv: CurvaturePoint, order: int) -> tuple[list[str], list[Jet]]
     n = curv.n
     if n < 3:
         raise UnsupportedDimensionError("Weyl trace invariants need n >= 3")
-    if n == 3:
-        return [], []
     from .counting import weyl_trace_count
 
     w_order = min(order, curv.weyl.order, curv.g_inv.order)
-    w_op = weyl_bivector_operator(curv.weyl.truncate(w_order), curv.g_inv.truncate(w_order))
     ctx = _context(n, w_order)
-    lam = exterior_square(curv.ricci_op.truncate(w_order).coeffs, ctx)
-    n_biv = w_op.shape[0]
-
+    n_biv = n * (n - 1) // 2
     # (s, b) = (a + c, b) in emission order; within one s, b runs 1..n_biv,
-    # so each pair needs at most one more power of either operator
+    # so each pair needs at most one more power of either operator. For
+    # n >= 13 there are fewer pairs than the cut, and the block is shorter.
     pairs = [(s, b) for s in range(2 * n + 1) for b in range(1, n_biv + 1)]
+    pairs = pairs[: weyl_trace_count(n)]
+    values = np.empty((len(pairs), ctx.size))
+    if not pairs:  # n = 3
+        return [], values
+    w_op = weyl_bivector_operator(curv.weyl.truncate(w_order), curv.g_inv.truncate(w_order))
+    lam = exterior_square(curv.ricci_op.truncate(w_order).coeffs, ctx)
     w_powers = [w_op]
     lam_powers = [_jet_identity(n_biv, ctx)]
     labels: list[str] = []
-    values: list[Jet] = []
-    for s, b in pairs[: weyl_trace_count(n)]:
+    for i, (s, b) in enumerate(pairs):
         if b > len(w_powers):
             w_powers.append(contract(w_powers[-1], w_op, ctx))
         if s == len(lam_powers):
@@ -165,7 +165,7 @@ def weyl_traces(curv: CurvaturePoint, order: int) -> tuple[list[str], list[Jet]]
         pairing = cauchy_product(w_powers[b - 1], lam_powers[s].transpose(1, 0, 2), ctx)
         a = max(0, s - n)
         labels.append(f"J({a},{b},{s - a})")
-        values.append(Jet(n, w_order, pairing.sum(axis=(0, 1))))
+        values[i] = pairing.sum(axis=(0, 1))
     return labels, values
 
 
@@ -185,33 +185,35 @@ class TresseFrame:
     condition_number: float
 
 
-def _gradient_rank(invariants: Sequence[Jet], rel_tol: float) -> tuple[np.ndarray, int]:
-    """Singular values and numerical rank of the invariants' gradient matrix."""
-    sv = np.linalg.svd(np.array([j.gradient() for j in invariants]), compute_uv=False)
+def _gradient_rank(base: np.ndarray, order: int, rel_tol: float) -> tuple[np.ndarray, int]:
+    """Singular values and numerical rank of the gradient matrix of n base invariants.
+
+    `base` holds the order-`order` jet coefficients of one invariant per
+    row, in n variables; the gradients are the n coefficients of degree 1.
+    """
+    n = len(base)
+    if base.shape != (n, _context(n, order).size):
+        raise ShapeMismatchError(f"need {n} base invariants of order {order}, got {base.shape}")
+    if order < 1:
+        raise InsufficientOrderError("Tresse frame needs invariant jets of order >= 1")
+    sv = np.linalg.svd(base[:, 1 : 1 + n], compute_uv=False)
     return sv, numerical_rank(sv, rel_tol)
 
 
 def tresse_frame(
-    invariants: Sequence[Jet], rel_tol: float = DEFAULT_FRAME_RTOL
+    base: np.ndarray, order: int, rel_tol: float = DEFAULT_FRAME_RTOL
 ) -> TresseFrame:
     """Invert the Jacobian of n base invariants; raises SingularFrameError.
 
-    A singular frame is the expected outcome on locally homogeneous
-    metrics (constant invariants), so callers should treat the exception
-    as a structured result, not a failure.
+    `base` is the (n, S) block of their order-`order` jets, as
+    `_gradient_rank` reads it. A singular frame is the expected outcome on
+    locally homogeneous metrics (constant invariants), so callers should
+    treat the exception as a structured result, not a failure.
     """
-    n = invariants[0].n_vars
-    if len(invariants) != n:
-        raise SingularFrameError(
-            0, f"need exactly {n} base invariants, got {len(invariants)}"
-        )
-    order = min(j.order for j in invariants)
-    if order < 1:
-        raise InsufficientOrderError("Tresse frame needs invariant jets of order >= 1")
-    sv, rank = _gradient_rank(invariants, rel_tol)
+    sv, rank = _gradient_rank(base, order, rel_tol)
+    n = len(base)
     if rank < n:
         raise SingularFrameError(rank)
-    base = np.array([j.truncate(order).c for j in invariants])
     jac_jets = partials(base, _context(n, order)).transpose(1, 0, 2)  # [i, m]
     frame = _jet_matrix_inverse(jac_jets, _context(n, order - 1))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
@@ -229,7 +231,7 @@ def higher_invariants(
     frame: TresseFrame,
     k: int,
     with_gradients: bool = False,
-) -> tuple[list[str], list[Jet]]:
+) -> tuple[list[str], np.ndarray]:
     """Order-k invariants from nabla^{k-2} R contracted against the frame.
 
     Each derivative slot is paired with a frame vector, each of the four
@@ -238,10 +240,9 @@ def higher_invariants(
     frame indices. Every input is truncated to the output order (0, or 1
     with gradients) before the contractions.
 
-    The values are the rows of the one contracted block, so each Jet's
-    `c` is a view of its row; a non-finite entry in that block raises
-    DomainError. The labels depend on (n, k) only and are built once per
-    key; the list returned is a fresh copy.
+    The values are the rows of the one contracted block; a non-finite
+    entry in it raises DomainError. The labels depend on (n, k) only and
+    are built once per key; the list returned is a fresh copy.
     """
     if k < 3:
         raise ValueError("higher invariants start at order 3")
@@ -269,9 +270,7 @@ def higher_invariants(
         val = contract(np.moveaxis(val, 0, -2), vectors, ctx)
     block = val.reshape(-1, ctx.size)
     _require_finite(curv.point, **{f"H{k}": block})
-
-    values = [Jet(n, out_order, row) for row in block]
-    return list(_higher_labels(n, k)), values
+    return list(_higher_labels(n, k)), block
 
 
 @lru_cache(maxsize=None)
@@ -324,9 +323,11 @@ def required_jet_order(n: int, max_order: int, with_gradients: bool) -> int:
     return max_order + out
 
 
-def _base_invariants(curv: CurvaturePoint) -> list[Jet]:
-    """The n invariants the Tresse frame is built on."""
-    return surface_invariant_pair(curv) if curv.n == 2 else ricci_traces(curv.ricci_op)
+def _base_invariants(curv: CurvaturePoint) -> tuple[np.ndarray, int]:
+    """The block of the n invariants the Tresse frame is built on, and its order."""
+    if curv.n == 2:
+        return surface_invariant_pair(curv), curv.scalar.order - 1
+    return ricci_traces(curv.ricci_op), curv.ricci_op.order
 
 
 def invariant_sample(
@@ -344,6 +345,9 @@ def invariant_sample(
     at the gate order first, and again at the full order only on a regular
     frame: on a singular one no output reads the higher orders, and the
     curvature data returned is that of the gate order.
+
+    Each block of invariants stays one coefficient array until the end,
+    where every row emitted becomes a `Jet` whose `c` is a view of it.
     """
     n = spec.dim
     if max_order < 2:
@@ -358,30 +362,30 @@ def invariant_sample(
         curv = curvature_point(spec, point, order, s_max=max(0, max_order - 2))
 
     labels: list[str] = ["I1", "I2'"] if n == 2 else [f"I{i + 1}" for i in range(n)]
-    values: list[Jet] = []
+    blocks: list[np.ndarray] = []
     warnings: list[str] = []
 
     # overflow and NaN are not warned about where they arise: each block is
     # checked for non-finite entries, and raises DomainError, once it is built
     with np.errstate(over="ignore", invalid="ignore"):
-        base = _base_invariants(curv)
-        values.extend(j.truncate(out_order) for j in base)
-        _require_finite(point, **{"base invariants": np.array([v.c for v in values])})
+        base, base_order = _base_invariants(curv)
+        blocks.append(base[:, : _context(n, out_order).size])
+        _require_finite(point, **{"base invariants": blocks[0]})
 
         if n >= 4:
-            j_labels, j_values = weyl_traces(curv, out_order)
-            _require_finite(point, **{"Weyl traces": np.array([v.c for v in j_values])})
+            j_labels, j_block = weyl_traces(curv, out_order)
+            _require_finite(point, **{"Weyl traces": j_block})
             labels.extend(j_labels)
-            values.extend(j_values)
+            blocks.append(j_block)
 
         if max_order >= 3:
             # truncation commutes exactly with the pipeline, so the gradients
             # and the rank are the same at both orders
-            if two_pass and _gradient_rank(base, frame_rel_tol)[1] == n:
+            if two_pass and _gradient_rank(base, base_order, frame_rel_tol)[1] == n:
                 curv = curvature_point(spec, point, order, s_max=max_order - 2)
-                base = _base_invariants(curv)
+                base, base_order = _base_invariants(curv)
             try:
-                frame = tresse_frame(base, rel_tol=frame_rel_tol)
+                frame = tresse_frame(base, base_order, rel_tol=frame_rel_tol)
             except SingularFrameError as exc:
                 warnings.append(
                     f"SingularFrame: base invariant Jacobian has rank {exc.rank}; "
@@ -389,15 +393,15 @@ def invariant_sample(
                 )
             else:
                 for k in range(3, max_order + 1):
-                    h_labels, h_values = higher_invariants(
+                    h_labels, h_block = higher_invariants(
                         curv, frame, k, with_gradients=with_gradients
                     )
                     labels.extend(h_labels)
-                    values.extend(h_values)
+                    blocks.append(h_block)
 
     iv = InvariantVector(
         labels=tuple(labels),
-        values=tuple(values),
+        values=tuple([Jet(n, out_order, row) for block in blocks for row in block]),
         max_order=max_order,
         warnings=tuple(warnings),
     )

@@ -31,7 +31,6 @@ import numpy as np
 from .errors import (
     DomainError,
     InsufficientOrderError,
-    OrderExceededError,
     ShapeMismatchError,
 )
 
@@ -200,17 +199,6 @@ class Jet:
             raise InsufficientOrderError("gradient needs a jet of order >= 1")
         return self.c[1 : 1 + self.n_vars].copy()
 
-    def truncate(self, order: int) -> "Jet":
-        """Restrict to a lower order (graded prefix of the coefficients)."""
-        if order == self.order:
-            return self
-        if order > self.order:
-            raise OrderExceededError(
-                f"cannot extend order {self.order} jet to order {order}"
-            )
-        size = _context(self.n_vars, order).size
-        return Jet(self.n_vars, order, self.c[:size])
-
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other: "Jet"):
@@ -377,8 +365,6 @@ def jet_pow(a: Jet, exponent: Fraction) -> Jet:
 
 def apply_fn(tag: str, a: Jet) -> Jet:
     """Apply an elementary function to a jet by series composition."""
-    if tag == "neg":
-        return -a
     if tag == "tan":
         cos_a = _compose(_series("cos", a.value, a.order), a)
         if cos_a.value == 0.0:

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from metricinv.jets import Jet
+from metricinv.jets import Jet, _context
 from metricinv.metriclang import parse_metric
 
 def partial(jet, alpha) -> float:
@@ -19,6 +19,11 @@ def partial(jet, alpha) -> float:
 def component(t, idx) -> Jet:
     """The jet of one component of a `TensorComponents`."""
     return Jet(t.n, t.order, t.coeffs[idx])
+
+
+def truncate(jet, order) -> Jet:
+    """The jet restricted to a lower order: the graded prefix of its coefficients."""
+    return Jet(jet.n_vars, order, jet.c[: _context(jet.n_vars, order).size])
 
 
 def same_jet(a, b) -> bool:

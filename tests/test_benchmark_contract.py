@@ -5,11 +5,14 @@ attributes listed in `tracing.BOUNDARIES`. A keyword the workloads pass,
 or an attribute the tracer wraps, that the package no longer has breaks
 the benchmark; these tests catch that with the rest of the suite. So do
 the mirrors of perfbench's own wrong-output tests, which need `Jet *
-float` and `dataclasses.replace` on the package's result types.
+float` and `dataclasses.replace` on the package's result types, and of
+its check that each workload reaches the layers it is meant to, through
+the boundary calls the tracer counts.
 """
 
 import dataclasses
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,43 @@ def test_workload_ops_pass_their_checks(name):
     for op in range(3):
         inp = workload.inputs(op)
         assert workload.check(inp, workload.run(inp)) is None, (name, op)
+
+
+def _layer_metrics(name):
+    """Per-layer metrics of ops 0-3 of seed 11, every op traced and timed."""
+    workload = workloads.WORKLOADS[name](11, ROOT)
+    tracer = tracing.Tracer()
+    walls = {}
+    for op in range(4):
+        inp = workload.inputs(op)
+        tracer.install(op)
+        start = time.perf_counter()
+        try:
+            workload.run(inp)
+        finally:
+            walls[op] = time.perf_counter() - start
+            tracer.uninstall()
+    return tracer.layer_metrics(walls)
+
+
+def test_survey4d_reaches_weyl_traces_and_a_singular_frame():
+    metrics = _layer_metrics("survey4d")
+    assert metrics["jets.mul_count"] > 0 and metrics["invariants.weyl_traces_ms"] > 0
+    assert metrics["curvature.nabla_used_ratio"] == 0
+    assert metrics["invariants.frame_singular_ratio"] == 1
+
+
+def test_tower3d_reaches_the_higher_invariants_through_a_regular_frame():
+    metrics = _layer_metrics("tower3d")
+    assert metrics["curvature.nabla_used_ratio"] == 1
+    assert metrics["invariants.frame_singular_ratio"] == 0
+    assert metrics["invariants.emitted_count"] == workloads.tower_count(3, 4) == 15555
+    assert metrics["invariants.higher_ms"] > 0 and metrics["invariants.weyl_traces_ms"] == 0
+
+
+def test_counts_builds_no_jets():
+    metrics = _layer_metrics("counts")
+    assert metrics["jets.mul_count"] == 0 and metrics["jets.jet_count"] == 0
 
 
 def test_tracer_wraps_and_restores_every_boundary():

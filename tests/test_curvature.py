@@ -166,6 +166,14 @@ def test_christoffel_flat_zero(flat3):
     assert christoffel(g, ginv).max_abs() == 0.0
 
 
+def test_scalar_curvature_is_a_rank0_tensor(sphere2):
+    # the unit sphere has scal = n(n - 1) = 2; max_abs reads a rank-0 tensor too
+    cp = curvature_point(sphere2, S2_POINT, 3)
+    assert cp.scalar.variance == () and cp.scalar.coeffs.shape == (cp.scalar.ctx.size,)
+    assert cp.scalar.max_abs() == pytest.approx(2.0, rel=1e-12)
+    assert TensorComponents((), 2, 1, np.array([-3.5, 1.0, 2.0])).max_abs() == 3.5
+
+
 def test_christoffel_insufficient_order(sphere2):
     g, ginv = metric_at(sphere2, S2_POINT, 0)
     with pytest.raises(InsufficientOrderError):
@@ -176,7 +184,7 @@ def test_riemann_flat_zero(flat3):
     cp = curvature_point(flat3, (0.1, 0.2, 0.3), 3)
     assert cp.riemann_lower.max_abs() < 1e-15
     assert cp.ricci.max_abs() < 1e-15
-    assert abs(cp.scalar.value) < 1e-15
+    assert abs(float(cp.scalar.values())) < 1e-15
 
 
 def test_riemann_sphere(sphere2):
@@ -205,19 +213,19 @@ def test_scalar_curvatures_constant_spaces():
     }
     for n, text in sphere_charts.items():
         cp = curvature_point(parse_metric(text), (1.1, 0.7, 0.9, 0.5)[:n], 2)
-        assert cp.scalar.value == pytest.approx(n * (n - 1), rel=1e-9)
+        assert float(cp.scalar.values()) == pytest.approx(n * (n - 1), rel=1e-9)
     for n in (2, 3, 4):
         coords = ["x", "y", "z", "w"][:n]
         lines = [f"dim={n}", f"coords=[{','.join(coords)}]"]
         lines += [f"g[{i},{i}] = 1/{coords[-1]}^2" for i in range(1, n + 1)]
         cp = curvature_point(parse_metric("; ".join(lines)), (0.3, 0.8, 1.4, 0.9)[:n], 2)
-        assert cp.scalar.value == pytest.approx(-n * (n - 1), rel=1e-9)
+        assert float(cp.scalar.values()) == pytest.approx(-n * (n - 1), rel=1e-9)
 
 
 def test_ricci_schwarzschild_flat(schwarzschild):
     cp = curvature_point(schwarzschild, (0.0, 3.0, 1.0, 0.5), 2)
     assert cp.ricci.max_abs() < 1e-9
-    assert abs(cp.scalar.value) < 1e-9
+    assert abs(float(cp.scalar.values())) < 1e-9
     assert cp.riemann_lower.max_abs() > 0.01
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from metricinv.counting import delta_count, s_count, weyl_trace_count
 from metricinv.curvature import TensorComponents, curvature_point
 from metricinv.errors import DomainError, SingularFrameError, UnsupportedDimensionError
 from metricinv.invariants import (
+    TresseFrame,
     exterior_square,
     higher_invariants,
     invariant_sample,
@@ -43,12 +45,12 @@ KRETSCHMANN_PER_WEYL_TRACE = 4.0
 def test_ricci_traces_unit_3_sphere(sphere3):
     cp = curvature_point(sphere3, (1.1, 0.8, 0.3), 2)
     traces = ricci_traces(cp.ricci_op)
-    assert [t.value for t in traces] == pytest.approx([6.0, 12.0, 24.0], rel=1e-11)
+    assert traces[:, 0] == pytest.approx([6.0, 12.0, 24.0], rel=1e-11)
 
 
 def test_ricci_traces_flat(flat3):
     cp = curvature_point(flat3, (0.2, 0.1, -0.4), 2)
-    assert np.max(np.abs([t.value for t in ricci_traces(cp.ricci_op)])) < 1e-14
+    assert np.max(np.abs(ricci_traces(cp.ricci_op)[:, 0])) < 1e-14
 
 
 def test_ricci_traces_ppwave_nilpotent():
@@ -63,15 +65,14 @@ def test_ricci_traces_ppwave_nilpotent():
     assert cp.ricci.max_abs() > 0.1
     a = cp.ricci_op.values()
     assert np.max(np.abs(a @ a)) < 1e-13
-    traces = ricci_traces(cp.ricci_op)
-    assert np.max(np.abs([t.value for t in traces])) < 1e-13
+    assert np.max(np.abs(ricci_traces(cp.ricci_op)[:, 0])) < 1e-13
     assert cp.riemann_lower.max_abs() > 0.1
 
 
 def test_weyl_traces_empty_for_n3(sphere3):
     cp = curvature_point(sphere3, (1.1, 0.8, 0.3), 2)
     labels, values = weyl_traces(cp, 0)
-    assert labels == [] and values == []
+    assert labels == [] and values.shape == (0, 1)
 
 
 def test_weyl_traces_unsupported_for_n2(sphere2):
@@ -83,7 +84,7 @@ def test_weyl_traces_unsupported_for_n2(sphere2):
 def test_weyl_traces_ricci_flat_survivors(schwarzschild):
     cp = curvature_point(schwarzschild, (0.0, 3.0, 1.0, 0.5), 2)
     labels, values = weyl_traces(cp, 0)
-    by_label = dict(zip(labels, [v.value for v in values]))
+    by_label = dict(zip(labels, values[:, 0]))
     # A = 0: every trace with a+c > 0 dies, the pure Weyl powers survive
     for label, value in by_label.items():
         a, b, c = eval(label[1:])
@@ -96,7 +97,7 @@ def test_weyl_trace_matches_kretschmann(schwarzschild):
     point = (0.0, 3.0, 1.0, 0.5)
     cp = curvature_point(schwarzschild, point, 2)
     labels, values = weyl_traces(cp, 0)
-    tr_w2 = dict(zip(labels, values))["J(0,2,0)"].value
+    tr_w2 = dict(zip(labels, values[:, 0]))["J(0,2,0)"]
     # Schwarzschild at M=1: Kretschmann = 48 M^2 / r^6
     assert KRETSCHMANN_PER_WEYL_TRACE * tr_w2 == pytest.approx(48 / 3.0**6, rel=1e-12)
     # independent symbolic-oracle route for the same scalar
@@ -125,7 +126,27 @@ def weyl_operator_trace(a_op, w_lower, g_inv, a, b, c):
 
     total = contract(contract(mat_pow(lam, a), mat_pow(w_op, b), ctx), mat_pow(lam, c), ctx)
     diag = np.arange(total.shape[0])
-    return Jet(n, order, total[diag, diag].sum(axis=0))
+    return total[diag, diag].sum(axis=0)
+
+
+def test_weyl_traces_block_matches_labels_past_the_pair_count():
+    # for n >= 13 the (a+c, b) classes run out before the cut at
+    # weyl_trace_count(n); every row of the block must still be a labelled,
+    # written trace. Order-0 random tensors stand in for a 13-D metric.
+    n = 13
+    rng = np.random.default_rng(13)
+    n_biv = n * (n - 1) // 2
+    g_inv = TensorComponents(("u", "u"), n, 0, np.eye(n)[..., None])
+    a_op = TensorComponents(("u", "d"), n, 0, rng.normal(size=(n, n, 1)) / n)
+    w_lower = TensorComponents(("d",) * 4, n, 0, rng.normal(size=(n,) * 4 + (1,)) / n_biv)
+    cp = types.SimpleNamespace(n=n, weyl=w_lower, g_inv=g_inv, ricci_op=a_op)
+    labels, values = weyl_traces(cp, 0)
+    assert (2 * n + 1) * n_biv < weyl_trace_count(n)
+    assert len(labels) == len(values) == (2 * n + 1) * n_biv
+    assert len(set(labels)) == len(labels)
+    a, b, c = (int(e) for e in labels[-1][len("J("):-1].split(","))
+    explicit = weyl_operator_trace(a_op, w_lower, g_inv, a, b, c)[0]
+    assert values[-1, 0] == pytest.approx(explicit, rel=1e-8)
 
 
 def test_weyl_trace_cyclic_identity():
@@ -134,9 +155,9 @@ def test_weyl_trace_cyclic_identity():
     spec = parse_metric(random_polynomial_metric_text(4, rng, scale=0.35))
     cp = curvature_point(spec, (0.2, -0.1, 0.3, 0.15), 2)
     args = (cp.ricci_op.truncate(0), cp.weyl.truncate(0), cp.g_inv.truncate(0))
-    t121 = weyl_operator_trace(*args, 1, 2, 1).value
-    t211 = weyl_operator_trace(*args, 2, 2, 0).value
-    t112 = weyl_operator_trace(*args, 0, 2, 2).value
+    t121 = weyl_operator_trace(*args, 1, 2, 1)[0]
+    t211 = weyl_operator_trace(*args, 2, 2, 0)[0]
+    t112 = weyl_operator_trace(*args, 0, 2, 2)[0]
     assert abs(t121) > 1e-10  # non-degenerate check
     assert t121 == pytest.approx(t211, rel=1e-10)
     assert t121 == pytest.approx(t112, rel=1e-10)
@@ -145,25 +166,22 @@ def test_weyl_trace_cyclic_identity():
     assert len(labels) == weyl_trace_count(4)
     for label, value in zip(labels, values):
         a, b, c = (int(e) for e in label[len("J("):-1].split(","))
-        explicit = weyl_operator_trace(*args, a, b, c).value
-        assert value.value == pytest.approx(explicit, rel=1e-10), label
+        explicit = weyl_operator_trace(*args, a, b, c)[0]
+        assert value[0] == pytest.approx(explicit, rel=1e-10), label
 
 
 def test_tresse_frame_singular_on_sphere(sphere2):
     cp = curvature_point(sphere2, (1.1, 0.4), 5)
-    base = surface_invariant_pair(cp)
     with pytest.raises(SingularFrameError) as info:
-        tresse_frame([b.truncate(min(x.order for x in base)) for b in base])
+        tresse_frame(surface_invariant_pair(cp), cp.scalar.order - 1)
     assert info.value.rank == 0
 
 
 def test_tresse_frame_rank_one_on_revolution(revolution):
     # invariants depend on x only: Jacobian rank 1
     cp = curvature_point(revolution, (0.7, 0.2), 5)
-    base = surface_invariant_pair(cp)
-    order = min(x.order for x in base)
     with pytest.raises(SingularFrameError) as info:
-        tresse_frame([b.truncate(order) for b in base])
+        tresse_frame(surface_invariant_pair(cp), cp.scalar.order - 1)
     assert info.value.rank == 1
 
 
@@ -172,24 +190,34 @@ def test_tresse_frame_invertible_generic():
     spec = parse_metric(random_curved_metric_text(3, rng))
     cp = curvature_point(spec, (0.3, -0.2, 0.4), 3)
     base = ricci_traces(cp.ricci_op)
-    frame = tresse_frame(base)
-    jac = np.array([j.gradient() for j in base])  # jac[i, m] = d_m I_i
+    frame = tresse_frame(base, cp.ricci_op.order)
+    jac = base[:, 1:4]  # jac[i, m] = d_m I_i
     assert np.max(np.abs(jac @ frame.frame.values() - np.eye(3))) < 1e-8
     assert frame.condition_number < 1e6
 
 
+def test_every_block_is_a_float_array_of_jet_rows(sphere2, sphere3, schwarzschild):
+    def check(block, rows, n, order):
+        assert isinstance(block, np.ndarray) and block.dtype == np.float64
+        assert block.shape == (rows, _context(n, order).size)
+
+    cp = curvature_point(sphere2, (1.1, 0.4), 4)
+    check(surface_invariant_pair(cp), 2, 2, cp.scalar.order - 1)
+    for spec, point in ((sphere3, (1.1, 0.8, 0.3)), (schwarzschild, (0.0, 3.0, 1.0, 0.5))):
+        cp = curvature_point(spec, point, 3)
+        n = spec.dim
+        check(ricci_traces(cp.ricci_op), n, n, cp.ricci_op.order)
+        check(weyl_traces(cp, 1)[1], weyl_trace_count(n), n, 1)
+    cp = curvature_point(sphere3, (1.1, 0.8, 0.3), 4)
+    for with_gradients in (False, True):
+        _, block = higher_invariants(cp, _unit_frame(3, 1), 3, with_gradients)
+        check(block, 3 * 6**4, 3, int(with_gradients))
+
+
 def _unit_frame(n, order):
     """Coordinate frame stand-in for metrics whose Tresse frame is singular."""
-    from metricinv.curvature import TensorComponents
-    from metricinv.invariants import TresseFrame
-    from metricinv.jets import Jet
-
-    rows = [
-        [Jet.constant(1.0 if m == i else 0.0, n, order) for i in range(n)]
-        for m in range(n)
-    ]
-    frame = TensorComponents.from_jets(("u", "d"), rows)
-    return TresseFrame(frame=frame, condition_number=1.0)
+    eye = curvature._jet_identity(n, _context(n, order))
+    return TresseFrame(frame=TensorComponents(("u", "d"), n, order, eye), condition_number=1.0)
 
 
 def test_higher_invariants_vanish_constant_curvature(sphere3):
@@ -199,13 +227,13 @@ def test_higher_invariants_vanish_constant_curvature(sphere3):
     cp3 = curvature_point(sphere3, (1.1, 0.8, 0.3), 3)
     labels, values = higher_invariants(cp3, _unit_frame(3, 2), 3)
     assert len(labels) == 3 * (2 * 3) ** 4
-    assert np.max(np.abs([v.value for v in values])) < 1e-9
+    assert np.max(np.abs(values[:, 0])) < 1e-9
 
 
 def test_higher_invariants_vanish_flat(flat3):
     cp = curvature_point(flat3, (0.0, 0.0, 0.0), 3)
     _, values = higher_invariants(cp, _unit_frame(3, 2), 3)
-    assert np.max(np.abs([v.value for v in values])) < 1e-14
+    assert np.max(np.abs(values[:, 0])) < 1e-14
 
 
 def test_higher_invariants_match_explicit_contraction():
@@ -213,7 +241,7 @@ def test_higher_invariants_match_explicit_contraction():
     derivative slot and A^s applied to frame vector j on each curvature slot."""
     spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
     cp = curvature_point(spec, (0.3, -0.1, 0.2), 4)
-    frame = tresse_frame(ricci_traces(cp.ricci_op))
+    frame = tresse_frame(ricci_traces(cp.ricci_op), cp.ricci_op.order)
     f = frame.frame.values()  # f[m, i]: m-th component of frame vector i
     a = cp.ricci_op.values()
     for k in (3, 4):
@@ -232,7 +260,7 @@ def test_higher_invariants_match_explicit_contraction():
                 x = np.tensordot(v, x, axes=(0, 0))
             expected.append(float(x))
         expected = np.array(expected)
-        got = np.array([v.value for v in values])
+        got = values[:, 0]
         assert np.max(np.abs(expected)) > 1e-3  # a non-degenerate check
         assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
 
@@ -243,21 +271,27 @@ def regular_frame_point():
     H3 and H4 with gradients."""
     spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
     cp = curvature_point(spec, (0.3, -0.1, 0.2), 5)
-    return cp, tresse_frame(ricci_traces(cp.ricci_op))
+    return cp, tresse_frame(ricci_traces(cp.ricci_op), cp.ricci_op.order)
 
 
-@pytest.mark.parametrize("k, with_gradients", [(3, False), (3, True), (4, True)])
-def test_higher_invariants_are_the_jets_of_their_rows(regular_frame_point, k, with_gradients):
-    cp, frame = regular_frame_point
-    out_order = int(with_gradients)
-    _, values = higher_invariants(cp, frame, k, with_gradients=with_gradients)
-    base = values[0].c.base
-    assert base is not None
-    for v in values:
-        ref = Jet(3, out_order, v.c)
-        assert v.ctx is ref.ctx
-        assert v.c.dtype == ref.c.dtype and v.c.tobytes() == ref.c.tobytes()
-        assert v.c.base is base  # a view of its row of one block, not a copy
+@pytest.mark.parametrize("max_order, with_gradients", [(3, False), (3, True), (4, True)])
+def test_invariant_vector_values_are_views_of_block_rows(max_order, with_gradients):
+    spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
+    iv = invariant_vector(spec, (0.3, -0.1, 0.2), max_order, with_gradients)
+    assert not iv.warnings
+    ctx = _context(3, int(with_gradients))
+    # the base invariants, then one block per order k = 3..max_order
+    sizes = [3] + [3 ** (k - 2) * 6**4 for k in range(3, max_order + 1)]
+    assert len(iv) == sum(sizes)
+    start = 0
+    for size in sizes:
+        rows = iv.values[start : start + size]
+        block = rows[0].c.base
+        assert block is not None
+        for v in rows:
+            assert v.ctx is ctx
+            assert v.c.base is block  # a view of its row of one block, not a copy
+        start += size
 
 
 def _explicit_higher_labels(n, k):
@@ -284,10 +318,10 @@ def test_higher_invariant_labels_are_built_per_label_and_copied(regular_frame_po
         assert again == expected
 
 
-def test_higher_invariant_jets_behave_as_jets(regular_frame_point):
-    cp, frame = regular_frame_point
-    _, values = higher_invariants(cp, frame, 3, with_gradients=True)
-    v, w = values[5], values[17]
+def test_higher_invariant_jets_behave_as_jets():
+    spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
+    iv = invariant_vector(spec, (0.3, -0.1, 0.2), max_order=3, with_gradients=True)
+    v, w = iv.values[3 + 5], iv.values[3 + 17]
     with pytest.raises(AttributeError):
         v.c = np.zeros(4)
     with pytest.raises(AttributeError):
@@ -295,8 +329,6 @@ def test_higher_invariant_jets_behave_as_jets(regular_frame_point):
     v_ref, w_ref = Jet(3, 1, v.c.copy()), Jet(3, 1, w.c.copy())
     assert same_jet(v, v_ref) and not same_jet(v, w)
     assert (v * w).c.tobytes() == (v_ref * w_ref).c.tobytes()
-    assert same_jet(v.truncate(0), Jet(3, 0, v.c[:1].copy()))
-    assert v.truncate(1) is v
 
 
 def test_higher_invariants_reject_a_non_finite_block(regular_frame_point):
@@ -311,7 +343,7 @@ def test_invariant_sample_rejects_non_finite_base_invariants(monkeypatch, sphere
     original = invariants.ricci_traces
 
     def overflowing(a_op):
-        return [Jet(j.n_vars, j.order, np.full_like(j.c, np.inf)) for j in original(a_op)]
+        return np.full_like(original(a_op), np.inf)
 
     monkeypatch.setattr(invariants, "ricci_traces", overflowing)
     with pytest.raises(DomainError, match="base invariants"):
@@ -494,7 +526,7 @@ def test_surface_pair_on_revolution(revolution):
     cp = curvature_point(revolution, (x0, y0), 3)
     pair = surface_invariant_pair(cp)
     expect_k = math.sin(x0) / (2 + math.sin(x0))
-    assert pair[0].value == pytest.approx(2 * expect_k, rel=1e-11)
+    assert pair[0, 0] == pytest.approx(2 * expect_k, rel=1e-11)
     coords, g = sympy_oracle.read_metric(
         "dim=2; coords=[x,y]; g[1,1]=1; g[2,2]=(2 + sin(x))^2"
     )

@@ -14,9 +14,9 @@ from metricinv.errors import (
     ShapeMismatchError,
 )
 from metricinv.curvature import TensorComponents
-from metricinv.jets import Jet, apply_fn, jet_pow, seed
+from metricinv.jets import Jet, _context, apply_fn, jet_pow, seed
 
-from conftest import partial, same_jet
+from conftest import partial, same_jet, truncate
 
 
 def test_seed_coordinate_function():
@@ -88,12 +88,17 @@ def test_log_domain_error():
 
 
 def test_partial_order_exceeded():
-    # a jet, or a tensor of jets, cannot be extended to a higher order
-    with pytest.raises(OrderExceededError):
-        seed((1.0,), 0, 2).truncate(3)
+    # a tensor of jets cannot be extended to a higher order
     t = TensorComponents(("d", "d"), 2, 2, np.zeros((2, 2, 6)))
     with pytest.raises(OrderExceededError):
         t.truncate(3)
+
+
+def test_unknown_function_tag_raises():
+    # negation is unary `-`, not a function tag
+    for tag in ("neg", "arcsin"):
+        with pytest.raises(ValueError, match="unknown function tag"):
+            apply_fn(tag, seed((0.5,), 0, 2))
 
 
 def test_partial_constant_term():
@@ -162,10 +167,13 @@ def test_cauchy_product_batch_is_bitwise_per_entry():
 
 
 def test_truncation_is_prefix():
-    j = apply_fn("exp", seed((0.3, -0.2), 0, 4) * seed((0.3, -0.2), 1, 4))
-    t = j.truncate(2)
-    assert t.order == 2
-    assert np.array_equal(t.c, j.c[: t.c.size])
+    # the multi-indices of degree <= 2 lead those of degree <= 4, so the
+    # order-2 jet is the prefix of the order-4 coefficients
+    low, high = _context(2, 2), _context(2, 4)
+    assert high.multi_indices[: low.size] == low.multi_indices
+    x, y = seed((0.3, -0.2), 0, 4), seed((0.3, -0.2), 1, 4)
+    t = truncate(apply_fn("exp", x * y), 2)
+    assert same_jet(t, apply_fn("exp", truncate(x, 2) * truncate(y, 2)))
 
 
 # -- property tests -----------------------------------------------------------
@@ -261,9 +269,9 @@ def test_seed_partial_round_trip(terms):
 @given(jets_strategy(2, 3), jets_strategy(2, 3))
 def test_truncation_commutes_exactly(a, b):
     """Order K+1 arithmetic restricted to order K is bitwise the order-K result."""
-    a2, b2 = a.truncate(2), b.truncate(2)
-    assert same_jet((a * b).truncate(2), a2 * b2)
-    assert same_jet((a + b).truncate(2), a2 + b2)
+    a2, b2 = truncate(a, 2), truncate(b, 2)
+    assert same_jet(truncate(a * b, 2), a2 * b2)
+    assert same_jet(truncate(a + b, 2), a2 + b2)
     ap = Jet(2, 3, np.concatenate([[a.c[0] + 2.5], a.c[1:]]))  # shift domain
-    assert same_jet(apply_fn("exp", ap).truncate(2), apply_fn("exp", ap.truncate(2)))
-    assert same_jet(apply_fn("recip", ap).truncate(2), apply_fn("recip", ap.truncate(2)))
+    assert same_jet(truncate(apply_fn("exp", ap), 2), apply_fn("exp", truncate(ap, 2)))
+    assert same_jet(truncate(apply_fn("recip", ap), 2), apply_fn("recip", truncate(ap, 2)))
