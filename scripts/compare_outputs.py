@@ -31,8 +31,13 @@ root's `src/`, and `perfbench/` for the workload inputs:
   runs only on a regular frame, in every dimension class.
 
 Floats are compared through their shortest repr, which round-trips
-exactly. Prints the first difference and exits 1, or prints the number
-of probes and exits 0.
+exactly. When every probe is identical, prints their number and exits 0.
+Otherwise it prints how many probes differ; for each probe family (the
+first word of the probe name) the largest change of a float, relative to
+the largest finite float of that probe in the parent's output, and where
+it is; and every differing leaf that is not a pair of finite floats
+(an exit code, a label, a warning, a rank, a changed structure). It then
+exits 1.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -230,18 +236,47 @@ def _outputs(root: Path) -> list[tuple[str, str]]:
     return [tuple(line.split("\t", 1)) for line in proc.stdout.splitlines()]
 
 
-def _first_difference(a, b, path=""):
-    """Path and both sides of the first leaf where a and b differ."""
+def _leaves(a, b, path=""):
+    """Every pair of corresponding leaves; a changed structure is one leaf."""
     if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
-        pairs = ((f"{path}.{k}", a[k], b[k]) for k in a)
+        for k in a:
+            yield from _leaves(a[k], b[k], f"{path}.{k}")
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-        pairs = ((f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b)))
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _leaves(x, y, f"{path}[{i}]")
     else:
-        return path, a, b
-    for sub, x, y in pairs:
-        if json.dumps(x) != json.dumps(y):
-            return _first_difference(x, y, sub)
-    return path, a, b  # the same leaves in another order
+        yield path, a, b
+
+
+def _is_float(x) -> bool:
+    return isinstance(x, float) and math.isfinite(x)
+
+
+def _largest_float(tree) -> float:
+    if isinstance(tree, dict):
+        tree = list(tree.values())
+    if isinstance(tree, list):
+        return max((_largest_float(x) for x in tree), default=0.0)
+    return abs(tree) if _is_float(tree) else 0.0
+
+
+def _compare(a, b):
+    """The largest float change relative to a's largest finite float, its
+    path, and every other differing leaf as (path, a's leaf, b's leaf)."""
+    scale = _largest_float(a) or 1.0
+    largest, where, others, floats = 0.0, "", [], False
+    for path, x, y in _leaves(a, b):
+        if json.dumps(x) == json.dumps(y):
+            continue
+        if _is_float(x) and _is_float(y):  # a changed sign of zero is a change of 0
+            floats = True
+            if abs(x - y) / scale > largest:
+                largest, where = abs(x - y) / scale, path
+        else:
+            others.append((path, x, y))
+    if not others and not floats:  # the same leaves in another order
+        others.append(("", "key order", "key order"))
+    return largest, where, others
 
 
 def main(argv: list[str]) -> int:
@@ -254,21 +289,35 @@ def main(argv: list[str]) -> int:
     parent = Path(argv[0]).resolve()
     change = Path(argv[1]).resolve() if len(argv) == 2 else Path(__file__).resolve().parents[1]
     before, after = _outputs(parent), _outputs(change)
-    for (name_a, out_a), (name_b, out_b) in zip(before, after):
-        if name_a != name_b:
-            print(f"probe lists differ: {name_a!r} against {name_b!r}")
-            return 1
-        if out_a != out_b:
-            where, x, y = _first_difference(json.loads(out_a), json.loads(out_b))
-            print(f"{name_a}: first difference at {where or 'top level'}")
-            print(f"  parent: {json.dumps(x)[:300]}")
-            print(f"  change: {json.dumps(y)[:300]}")
-            return 1
-    if len(before) != len(after):
-        print(f"probe counts differ: {len(before)} against {len(after)}")
+    if [name for name, _ in before] != [name for name, _ in after]:
+        print(f"probe lists differ: {len(before)} probes against {len(after)}")
         return 1
-    print(f"{len(before)} probes identical")
-    return 0
+    families: dict[str, list] = {}  # family -> [probes, differing, largest, where]
+    others = []
+    for (name, out_a), (_, out_b) in zip(before, after):
+        family = families.setdefault(name.split()[0], [0, 0, 0.0, ""])
+        family[0] += 1
+        if out_a == out_b:
+            continue
+        family[1] += 1
+        largest, where, leaves = _compare(json.loads(out_a), json.loads(out_b))
+        if largest > family[2]:
+            family[2:] = [largest, f"{name} at {where}"]
+        others += [(name, *leaf) for leaf in leaves]
+    differing = sum(family[1] for family in families.values())
+    if not differing:
+        print(f"{len(before)} probes identical")
+        return 0
+    print(f"{differing} of {len(before)} probes differ")
+    print("largest float change relative to the probe's largest finite float:")
+    for family, (total, count, largest, where) in families.items():
+        print(f"  {family}: {count} of {total} differ, {largest:.2g}"
+              + (f" ({where})" if where else ""))
+    for name, path, x, y in others:
+        print(f"{name}: non-float leaf differs at {path or 'top level'}")
+        print(f"  parent: {json.dumps(x)[:300]}")
+        print(f"  change: {json.dumps(y)[:300]}")
+    return 1
 
 
 if __name__ == "__main__":

@@ -20,8 +20,9 @@ Every derivative consumed drops the available jet order by one; each
 operation below states its consumption and rejects inputs that are too
 shallow. `curvature_point` builds everything up to the Weyl tensor at
 once, and nabla^s R on the first read of `CurvaturePoint.nabla_r`.
-Signature plays no role: the inverse metric comes from the full jet-level
-matrix inverse and no positivity is assumed.
+Signature plays no role: the inverse metric is the jet-level matrix
+inverse, built degree by degree from that of its constant term, and no
+positivity is assumed.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .errors import (
     SingularMetricError,
     UnsupportedDimensionError,
 )
-from .jets import Jet, _context, _JetContext, apply_fn, cauchy_product, contract, partials
+from .jets import _context, _JetContext, cauchy_product, contract, partials
 from .metriclang import MetricSpec, eval_expr
 
 SINGULAR_RTOL = 1e-10
@@ -111,19 +112,27 @@ def _jet_identity(m: int, ctx: _JetContext) -> np.ndarray:
 
 
 def _jet_matrix_inverse(mat: np.ndarray, ctx: _JetContext) -> np.ndarray:
-    """Gauss-Jordan inverse of an (n, n, S) jet matrix, pivoting on constant terms."""
-    n = mat.shape[0]
-    aug = np.concatenate([mat, _jet_identity(n, ctx)], axis=1)
-    for col in range(n):
-        pivot_row = col + int(np.argmax(np.abs(aug[col:, col, 0])))
-        if aug[pivot_row, col, 0] == 0.0:
-            raise SingularMetricError("jet matrix is singular at the base point")
-        aug[[col, pivot_row]] = aug[[pivot_row, col]]
-        inv_pivot = apply_fn("recip", Jet(ctx.n_vars, ctx.order, aug[col, col]))
-        aug[col] = cauchy_product(aug[col], inv_pivot.c, ctx)
-        others = [row for row in range(n) if row != col]
-        aug[others] -= cauchy_product(aug[others, col, None], aug[col], ctx)
-    return aug[:, n:]
+    """Inverse of an (n, n, S) jet matrix M, one degree at a time.
+
+    X_0 = M_0^-1 and X_d = -X_0 [(M - M_0) X]_d, which is [M X]_d taken
+    while X's degree-d block is still zero. X_0 is applied with
+    ascending-q adds, as in `contract`, so every block is bitwise the
+    same at every order.
+    """
+    try:
+        x0 = np.linalg.inv(mat[..., 0])
+    except np.linalg.LinAlgError:
+        raise SingularMetricError("jet matrix is singular at the base point") from None
+    inv = np.zeros_like(mat)
+    inv[..., 0] = x0
+    for d in range(1, ctx.order + 1):
+        low, sub = _context(ctx.n_vars, d - 1).size, _context(ctx.n_vars, d)
+        bracket = contract(mat[..., : sub.size], inv[..., : sub.size], sub)[..., low:]
+        block = x0[:, 0, None, None] * bracket[0]
+        for q in range(1, len(x0)):
+            block = block + x0[:, q, None, None] * bracket[q]
+        inv[..., low : sub.size] = -block
+    return inv
 
 
 def metric_at(

@@ -185,11 +185,16 @@ class TresseFrame:
     condition_number: float
 
 
-def _gradient_rank(base: np.ndarray, order: int, rel_tol: float) -> tuple[np.ndarray, int]:
-    """Singular values and numerical rank of the gradient matrix of n base invariants.
+def tresse_frame(
+    base: np.ndarray, order: int, rel_tol: float = DEFAULT_FRAME_RTOL
+) -> TresseFrame:
+    """Invert the Jacobian of n base invariants; raises SingularFrameError.
 
-    `base` holds the order-`order` jet coefficients of one invariant per
-    row, in n variables; the gradients are the n coefficients of degree 1.
+    `base` holds the order-`order` jets of one invariant per row, in n
+    variables; the numerical rank of their degree-1 coefficients decides
+    the frame. A singular frame is the expected outcome on locally
+    homogeneous metrics (constant invariants), so callers should treat the
+    exception as a structured result, not a failure.
     """
     n = len(base)
     if base.shape != (n, _context(n, order).size):
@@ -197,21 +202,7 @@ def _gradient_rank(base: np.ndarray, order: int, rel_tol: float) -> tuple[np.nda
     if order < 1:
         raise InsufficientOrderError("Tresse frame needs invariant jets of order >= 1")
     sv = np.linalg.svd(base[:, 1 : 1 + n], compute_uv=False)
-    return sv, numerical_rank(sv, rel_tol)
-
-
-def tresse_frame(
-    base: np.ndarray, order: int, rel_tol: float = DEFAULT_FRAME_RTOL
-) -> TresseFrame:
-    """Invert the Jacobian of n base invariants; raises SingularFrameError.
-
-    `base` is the (n, S) block of their order-`order` jets, as
-    `_gradient_rank` reads it. A singular frame is the expected outcome on
-    locally homogeneous metrics (constant invariants), so callers should
-    treat the exception as a structured result, not a failure.
-    """
-    sv, rank = _gradient_rank(base, order, rel_tol)
-    n = len(base)
+    rank = numerical_rank(sv, rel_tol)
     if rank < n:
         raise SingularFrameError(rank)
     jac_jets = partials(base, _context(n, order)).transpose(1, 0, 2)  # [i, m]
@@ -339,12 +330,13 @@ def invariant_sample(
 ) -> tuple[InvariantVector, CurvaturePoint]:
     """Invariant vector plus the curvature data it was computed from.
 
-    The order-2 block and the frame's rank test read the base invariants
-    at jet order 1 only, which the gate order `required_jet_order(n, 2,
-    True)` provides. Where the full order is above it, the pipeline runs
-    at the gate order first, and again at the full order only on a regular
-    frame: on a singular one no output reads the higher orders, and the
-    curvature data returned is that of the gate order.
+    The order-2 block and the frame decision read the base invariants at
+    jet order 1 only, which the gate order `required_jet_order(n, 2,
+    True)` provides. Where the full order is above it, `tresse_frame` on
+    the gate-order base decides the frame, and only a frame it returns
+    adds a full-order pass, with the frame rebuilt from the new base. On a
+    singular frame no output reads the higher orders, and the curvature
+    data returned is that of the gate order.
 
     Each block of invariants stays one coefficient array until the end,
     where every row emitted becomes a `Jet` whose `c` is a view of it.
@@ -379,13 +371,12 @@ def invariant_sample(
             blocks.append(j_block)
 
         if max_order >= 3:
-            # truncation commutes exactly with the pipeline, so the gradients
-            # and the rank are the same at both orders
-            if two_pass and _gradient_rank(base, base_order, frame_rel_tol)[1] == n:
-                curv = curvature_point(spec, point, order, s_max=max_order - 2)
-                base, base_order = _base_invariants(curv)
             try:
                 frame = tresse_frame(base, base_order, rel_tol=frame_rel_tol)
+                if two_pass:
+                    curv = curvature_point(spec, point, order, s_max=max_order - 2)
+                    base, base_order = _base_invariants(curv)
+                    frame = tresse_frame(base, base_order, rel_tol=frame_rel_tol)
             except SingularFrameError as exc:
                 warnings.append(
                     f"SingularFrame: base invariant Jacobian has rank {exc.rank}; "

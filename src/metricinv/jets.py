@@ -307,24 +307,27 @@ _DERIVATIVE_CYCLES: dict[str, Callable[[float], tuple[float, ...]]] = {
 }
 
 
+def _unit(a: Jet) -> Jet:
+    """a / c0, whose constant term is exactly 1."""
+    return Jet(a.n_vars, a.order, a.c / a.value)
+
+
 def _series(tag: str, c0: float, order: int) -> list[float]:
-    """Taylor coefficients f^(j)(c0) / j! of an elementary function, j <= order."""
+    """Taylor coefficients f^(j)(c0) / j! of an elementary function, j <= order.
+
+    log and recip are expanded in u = a / c0 - 1 instead, as log c0 +
+    log(1 + u) and (1 + u)^-1 / c0, so that no power of c0 is formed.
+    """
     try:
         if tag == "log":
             if c0 <= 0.0:
                 raise DomainError(f"log of jet with non-positive constant term {c0}")
-            return [math.log(c0)] + [
-                (-1.0) ** (j - 1) / (j * c0**j) for j in range(1, order + 1)
-            ]
+            return [math.log(c0)] + [(-1.0) ** (j - 1) / j for j in range(1, order + 1)]
         if tag == "recip":
             if c0 == 0.0:
                 raise DomainError("reciprocal of jet with zero constant term")
-            out = []
             p = 1.0 / c0
-            for j in range(order + 1):
-                out.append(p if j % 2 == 0 else -p)
-                p /= c0
-            return out
+            return [p if j % 2 == 0 else -p for j in range(order + 1)]
         cycle = _DERIVATIVE_CYCLES[tag](c0)
     except OverflowError:
         raise DomainError(f"{tag} overflows at constant term {c0!r}") from None
@@ -341,8 +344,8 @@ def jet_pow(a: Jet, exponent: Fraction) -> Jet:
     """a**exponent for a rational exponent.
 
     Integer exponents go through repeated multiplication (valid for any
-    constant term when >= 0); fractional ones through the binomial series,
-    which needs a positive constant term.
+    constant term when >= 0); fractional ones through the binomial series
+    of (a / c0)^r, times c0^r, which needs a positive constant term.
     """
     exponent = Fraction(exponent)
     if exponent.denominator == 1:
@@ -359,8 +362,8 @@ def jet_pow(a: Jet, exponent: Fraction) -> Jet:
     except OverflowError:
         raise DomainError(f"power {exponent} overflows at constant term {c0!r}") from None
     for j in range(1, a.order + 1):
-        outer.append(outer[-1] * (r - (j - 1)) / (j * c0))
-    return _compose(outer, a)
+        outer.append(outer[-1] * (r - (j - 1)) / j)
+    return _compose(outer, _unit(a))
 
 
 def apply_fn(tag: str, a: Jet) -> Jet:
@@ -375,6 +378,8 @@ def apply_fn(tag: str, a: Jet) -> Jet:
         return _compose(_series("sinh", a.value, a.order), a) * apply_fn("recip", cosh_a)
     if tag == "sqrt":
         return jet_pow(a, Fraction(1, 2))
-    if tag not in _DERIVATIVE_CYCLES and tag not in ("log", "recip"):
+    if tag in ("log", "recip"):
+        return _compose(_series(tag, a.value, a.order), _unit(a))
+    if tag not in _DERIVATIVE_CYCLES:
         raise ValueError(f"unknown function tag '{tag}'")
     return _compose(_series(tag, a.value, a.order), a)

@@ -2,9 +2,11 @@
 
 import io
 import json
+import math
 import re
 import warnings
 
+import numpy as np
 import pytest
 
 from metricinv.cli import main
@@ -82,18 +84,20 @@ def test_curvature_singular_point_exit_3(capsys, metric_files, tmp_path):
     )
     assert code == 3
     assert "SingularMetric" in err
-    # exp(512)^2 and exp(729) overflow a float: domain errors, not tracebacks
+    # exp(x^3) is in the float range at x = 8, where the metric is flat, and
+    # exp(729) overflows: a domain error, not a traceback
     path = tmp_path / "overflow.metric"
     path.write_text("dim=2; coords=[x,y]; g[1,1]=exp(x^3); g[2,2]=1\n")
-    for point in ("x=8,y=0", "x=9,y=0"):
-        code, _, err = run_cli(
-            capsys, "curvature", "--metric", str(path), "--point", point,
-        )
-        assert code == 3
-        assert "DomainError" in err
+    doc = run_json(capsys, "curvature", "--metric", str(path), "--point", "x=8,y=0")
+    assert doc["results"]["christoffel"][0][0][0] == pytest.approx(96, rel=1e-14)
+    assert not np.any(doc["results"]["riemann_lower"])
+    code, _, err = run_cli(capsys, "curvature", "--metric", str(path), "--point", "x=9,y=0")
+    assert code == 3
+    assert "DomainError" in err
 
 
-# Components near 1e-150: the jet inverse of g overflows at jet order 3.
+# Components near 1e-150: the curvature, near 1e150, is in the float range,
+# and |grad scal|^2, an order-3 invariant near 1e450, is not.
 TINY = """
 dim = 2
 coords = [x, y]
@@ -103,13 +107,29 @@ g[2,2] = 1e-150 * exp(3*y) * (2 + sin(x))
 """
 
 
+def test_tiny_metric_curvature_exit_0(capsys, tmp_path):
+    path = tmp_path / "tiny.metric"
+    scalars = []
+    for text in (TINY, TINY.replace("1e-150 * ", "")):
+        path.write_text(text)
+        doc = run_json(
+            capsys, "curvature", "--metric", str(path), "--point", "x=0.5,y=0.3",
+            "--order", "3",
+        )
+        scalars.append(doc["results"]["scalar_curvature"])
+    assert scalars[0] == pytest.approx(1e150 * scalars[1], rel=1e-12)
+
+
+# TINY's order-3 invariants leave the float range; at 1e-320 its inverse
+# metric does too.
 @pytest.mark.parametrize("argv", [
     ["curvature", "--order", "3"],
     ["invariants", "--max-order", "3"],
 ])
 def test_non_finite_results_exit_3(capsys, tmp_path, argv):
     path = tmp_path / "tiny.metric"
-    path.write_text(TINY)
+    factor = {"curvature": "1e-320", "invariants": "1e-150"}[argv[0]]
+    path.write_text(TINY.replace("1e-150", factor))
     code, out, err = run_cli(
         capsys, argv[0], "--metric", str(path), "--point", "x=0.5,y=0.3",
         *argv[1:], "--format", "json",
@@ -191,6 +211,40 @@ def test_badly_scaled_metrics_exit_0(capsys, tmp_path):
         "--point", "t=0,r=300,th=1,ph=0.5",
     )
     assert doc["results"]["g"][1][1] == pytest.approx(1 / (1 - 2 / 300), rel=1e-15)
+
+
+def _g_inv(capsys, text, tmp_path, order):
+    path = tmp_path / "scaled.metric"
+    path.write_text(text)
+    doc = run_json(
+        capsys, "curvature", "--metric", str(path), "--point", "x=1.1,y=0.4",
+        "--order", order,
+    )
+    return np.array(doc["results"]["g_inv"])
+
+
+def test_jet_inverse_of_badly_scaled_metrics_exit_0(capsys, tmp_path):
+    # no power of a single entry is formed, so neither overflows at order 3 or 4
+    g_inv = _g_inv(capsys, "dim=2; coords=[x,y]; g[1,1]=1; g[2,2]=1e-200\n", tmp_path, "3")
+    np.testing.assert_allclose(g_inv, [[1.0, 0.0], [0.0, 1e200]], rtol=1e-15)
+    scaled = _g_inv(capsys, SPHERE2.replace("] = ", "] = 1e80*"), tmp_path, "4")
+    np.testing.assert_allclose(
+        scaled, 1e-80 * _g_inv(capsys, SPHERE2, tmp_path, "4"), rtol=1e-15
+    )
+
+
+@pytest.mark.parametrize("expr, value", [
+    ("1/(1e-200*(2 + sin(x)))", lambda x: 1 / (1e-200 * (2 + math.sin(x)))),
+    ("sqrt(1e-200*(2 + sin(x)))", lambda x: math.sqrt(1e-200 * (2 + math.sin(x)))),
+], ids=["recip", "sqrt"])
+def test_scalar_functions_of_tiny_constant_terms_exit_0(capsys, tmp_path, expr, value):
+    path = tmp_path / "tiny_scalar.metric"
+    path.write_text(f"dim=2; coords=[x,y]; g[1,1]={expr}; g[2,2]=1\n")
+    doc = run_json(
+        capsys, "curvature", "--metric", str(path), "--point", "x=0.5,y=0.3",
+        "--order", "3",
+    )
+    assert doc["results"]["g"][0][0] == pytest.approx(value(0.5), rel=1e-14)
 
 
 def test_curvature_bad_point_exit_2(capsys, metric_files):
@@ -382,9 +436,8 @@ def test_homogeneity_all_singular_exit_3(capsys, tmp_path):
 
 
 def test_homogeneity_ignores_overflow_above_a_singular_frame(capsys, tmp_path):
-    # The 3-sphere scaled by 1e80 has a singular Tresse frame, and its
-    # order-4 inverse-metric coefficients overflow. Only the higher
-    # invariants would read them, and those are omitted on that frame.
+    # The 3-sphere scaled by 1e80 has a singular Tresse frame, so the
+    # higher invariants, and the jet orders only they read, are omitted.
     path = tmp_path / "scaled_sphere3.metric"
     path.write_text(
         "dim=3; coords=[x,y,z]; g[1,1]=1e80; g[2,2]=1e80*sin(x)^2;"
@@ -404,6 +457,4 @@ def test_float_round_trip_in_json(capsys, metric_files):
         "--point", "x=1.1,y=0.3",
     )
     value = doc["results"]["g"][1][1]
-    import math
-
     assert value == math.sin(1.1) ** 2  # exact round-trip through JSON

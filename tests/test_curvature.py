@@ -24,7 +24,7 @@ from metricinv.errors import (
     SingularMetricError,
     UnsupportedDimensionError,
 )
-from metricinv.jets import Jet
+from metricinv.jets import Jet, _context, contract
 from metricinv.metriclang import eval_expr, parse_expression, parse_metric
 from metricinv.metriclang import pullback_metric
 
@@ -140,6 +140,40 @@ def test_metric_inverse_is_jet_level(sphere2):
             target = 1.0 if i == j else 0.0
             assert abs(acc.value - target) < 1e-13
             assert np.max(np.abs(acc.c[1:])) < 1e-12
+
+
+def _jet_matrix(rng, n, order):
+    """A seeded well-conditioned (n, n, S) jet matrix: 1 + noise on the diagonal."""
+    mat = 0.1 * rng.standard_normal((n, n, _context(n, order).size))
+    mat[..., 0] += np.eye(n)
+    return mat
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_jet_matrix_inverse_is_the_jet_inverse(n):
+    rng = np.random.default_rng(n)
+    for order in range(6):
+        ctx = _context(n, order)
+        mat = _jet_matrix(rng, n, order)
+        product = contract(mat, curvature._jet_matrix_inverse(mat, ctx), ctx)
+        np.testing.assert_allclose(product, curvature._jet_identity(n, ctx), rtol=0, atol=1e-14)
+
+
+def test_jet_matrix_inverse_rejects_a_singular_constant_term():
+    ctx = _context(2, 2)
+    with pytest.raises(SingularMetricError):
+        curvature._jet_matrix_inverse(np.ones((2, 2, ctx.size)), ctx)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_jet_matrix_inverse_truncates_exactly(n):
+    rng = np.random.default_rng(10 + n)
+    for order in range(1, 6):
+        low = _context(n, order - 1)
+        mat = _jet_matrix(rng, n, order)
+        high = curvature._jet_matrix_inverse(mat, _context(n, order))
+        part = curvature._jet_matrix_inverse(mat[..., : low.size], low)
+        assert np.array_equal(high[..., : low.size].view(np.int64), part.view(np.int64))
 
 
 def test_christoffel_sphere(sphere2):

@@ -75,17 +75,31 @@ def tower():
     return parse_metric(inp.text), inp.point
 
 
+class _Calls(list):
+    """Jet orders of the `curvature_point` calls; `frames` holds the base
+    order of each `tresse_frame` call."""
+
+    def __init__(self):
+        super().__init__()
+        self.frames = []
+
+
 @pytest.fixture
 def orders(monkeypatch):
-    """The jet order of every `curvature_point` call `invariant_sample` makes."""
-    seen = []
-    original = invariants.curvature_point
+    """The `curvature_point` and `tresse_frame` calls `invariant_sample` makes."""
+    seen = _Calls()
+    original, original_frame = invariants.curvature_point, invariants.tresse_frame
 
     def recording(spec, point, order, s_max=None):
         seen.append(order)
         return original(spec, point, order, s_max=s_max)
 
+    def recording_frame(base, order, rel_tol):
+        seen.frames.append(order)
+        return original_frame(base, order, rel_tol=rel_tol)
+
     monkeypatch.setattr(invariants, "curvature_point", recording)
+    monkeypatch.setattr(invariants, "tresse_frame", recording_frame)
     return seen
 
 
@@ -94,18 +108,21 @@ def test_singular_frame_runs_only_the_gate_order(orders):
     report = homogeneity(spec, SCHWARZSCHILD_BOX, n_samples=1, max_order=3, seed=7)
     assert report.homogeneity == 3
     assert orders == [3]
+    assert orders.frames == [1]
 
 
 def test_regular_frame_adds_the_full_order(orders, tower):
     iv = invariant_vector(*tower, max_order=4, with_gradients=True)
     assert not iv.warnings
     assert orders == [3, 5]
+    assert orders.frames == [1, 3]
 
 
 def test_full_order_at_the_gate_is_one_pass(orders, tower):
     iv = invariant_vector(*tower, max_order=3)
     assert not iv.warnings
     assert orders == [3]
+    assert orders.frames == [1]
 
 
 def _bits(coeffs):
