@@ -28,7 +28,12 @@ root's `src/`, and `perfbench/` for the workload inputs:
   and `invariant_vector(max_order=4)` as for tower3d, and
   `homogeneity(n_samples=3, max_order=3, seed=7)` as for survey4d. With
   the tower3d ops they reach the full-order pass that `invariant_sample`
-  runs only on a regular frame, in every dimension class.
+  runs only on a regular frame, in every dimension class;
+- on an inline generic n = 5 metric, the order-2 block only:
+  `invariant_vector(max_order=2, with_gradients=True)` and
+  `homogeneity(n_samples=3, max_order=2, seed=7)`. It reaches the Weyl
+  traces with Lambda^2(A)^2 and Lambda^2(A)^3, which need n >= 5; its
+  higher blocks would hold 50,000 rows or more.
 
 Floats are compared through their shortest repr, which round-trips
 exactly. When every probe is identical, prints their number and exits 0.
@@ -69,8 +74,9 @@ POINTS = {
     "sphere2": "x=1.1,y=0.4",
     "sphere3": "x=1.1,y=0.8,z=0.3",
 }
-# Generic metrics, each with a point where its Tresse frame is regular; the
-# `homogeneity` probes sample [0, 1]^n.
+# Generic metrics, each with a point where its Tresse frame is regular, and
+# the (max_order, with_gradients) of its `invariant_vector` probes; the
+# `homogeneity` probe samples [0, 1]^n at the first max_order.
 INLINE_METRICS = {
     "surface": (
         "dim = 2; coords = [x, y];"
@@ -78,6 +84,7 @@ INLINE_METRICS = {
         " g[1,2] = 0.1*sin(0.9*x);"
         " g[2,2] = 2 + 0.25*sin(1.1*y) + 0.15*sin(0.6*x)",
         (0.3, 0.4),
+        ((3, True), (4, False)),
     ),
     "lorentzian": (
         "dim = 4; coords = [t, x, y, z]; signature = [-1, +1, +1, +1];"
@@ -87,6 +94,18 @@ INLINE_METRICS = {
         " g[4,4] = 2 + 0.3*sin(0.5*t) + 0.2*sin(0.9*x);"
         " g[2,3] = 0.1*sin(0.9*t)",
         (0.1, 0.2, 0.3, 0.4),
+        ((3, True), (4, False)),
+    ),
+    "generic5": (
+        "dim = 5; coords = [x, y, z, w, v];"
+        " g[1,1] = 2 + 0.3*sin(0.7*y) + 0.2*sin(1.3*v);"
+        " g[2,2] = 2 + 0.25*sin(1.1*z) + 0.15*sin(0.6*x);"
+        " g[3,3] = 2 + 0.2*sin(0.8*w) + 0.1*sin(1.2*x);"
+        " g[4,4] = 2 + 0.3*sin(0.5*v) + 0.2*sin(0.9*y);"
+        " g[5,5] = 2 + 0.2*sin(0.7*x) + 0.1*sin(1.1*z);"
+        " g[1,2] = 0.1*sin(0.9*w); g[3,5] = 0.1*sin(0.8*y)",
+        (0.1, 0.2, 0.3, 0.4, 0.5),
+        ((2, True),),
     ),
 }
 CURVATURE_FIELDS = (
@@ -190,18 +209,18 @@ def _workload_probes(workloads, root):
 
 
 def _inline_probes(metricinv):
-    for name, (text, point) in INLINE_METRICS.items():
+    for name, (text, point, orders) in INLINE_METRICS.items():
         spec = metricinv.parse_metric(text)
         box = [(0.0, 1.0)] * spec.dim
-        for max_order, with_gradients in ((3, True), (4, False)):
+        for max_order, with_gradients in orders:
             def run(spec=spec, point=point, max_order=max_order, grad=with_gradients):
                 iv = metricinv.invariant_vector(spec, point, max_order, grad)
                 return _invariant_doc(iv, grad)
 
             yield f"{name} invariant_vector max_order {max_order} gradients {with_gradients}", run
 
-        def run(spec=spec, box=box):
-            report = metricinv.homogeneity(spec, box, n_samples=3, max_order=3, seed=7)
+        def run(spec=spec, box=box, max_order=orders[0][0]):
+            report = metricinv.homogeneity(spec, box, n_samples=3, max_order=max_order, seed=7)
             return dataclasses.asdict(report)
 
         yield f"{name} homogeneity", run

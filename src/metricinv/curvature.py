@@ -70,13 +70,6 @@ class TensorComponents:
                 f"rank {self.rank}, n {self.n}, order {self.order}"
             )
 
-    @classmethod
-    def from_jets(cls, variance: tuple[str, str], rows) -> "TensorComponents":
-        """A rank-2 tensor from an n x n nested sequence of same-order jets."""
-        first = rows[0][0]
-        coeffs = np.array([[jet.c for jet in row] for row in rows])
-        return cls(variance, len(rows), first.order, coeffs)
-
     @property
     def rank(self) -> int:
         return len(self.variance)
@@ -102,13 +95,6 @@ class TensorComponents:
             )
         size = _context(self.n, order).size
         return TensorComponents(self.variance, self.n, order, self.coeffs[..., :size])
-
-
-def _jet_identity(m: int, ctx: _JetContext) -> np.ndarray:
-    """The m x m identity matrix as constant jets, shape (m, m, S)."""
-    eye = np.zeros((m, m, ctx.size))
-    eye[np.arange(m), np.arange(m), 0] = 1.0
-    return eye
 
 
 def _jet_matrix_inverse(mat: np.ndarray, ctx: _JetContext) -> np.ndarray:
@@ -142,11 +128,11 @@ def metric_at(
     n = spec.dim
     if len(point) != n:
         raise ShapeMismatchError(f"point has {len(point)} entries, metric dim {n}")
-    rows = [[None] * n for _ in range(n)]
+    coeffs = np.empty((n, n, _context(n, order).size))
     for i in range(n):
         for j in range(i, n):
-            rows[i][j] = rows[j][i] = eval_expr(spec.components[i][j], point, order)
-    g = TensorComponents.from_jets(("d", "d"), rows)
+            coeffs[i, j] = coeffs[j, i] = eval_expr(spec.components[i][j], point, order).c
+    g = TensorComponents(("d", "d"), n, order, coeffs)
 
     const = g.values()
     if not np.all(np.isfinite(const)):

@@ -1,11 +1,11 @@
 """Scalar differential invariants of a metric at a point.
 
 Order 2: power traces of the Ricci operator A (n of them), and for n >= 4
-the traces of bivector operators built from A and the Weyl map on
-Lambda^2 TM. Order k >= 3: the (k-2)-fold covariant derivative of the
-curvature fully contracted against the frame dual to the differentials of
-the power traces, each curvature slot taking a frame vector or A applied
-to one.
+the traces of Lambda^2(A)^a W^b Lambda^2(A)^c, W the Weyl map on Lambda^2
+TM, raised on the bivector pairs only. Order k >= 3: the (k-2)-fold
+covariant derivative of the curvature fully contracted against the frame
+dual to the differentials of the power traces, each curvature slot taking
+a frame vector or A applied to one.
 
 For n = 2 the power traces degenerate (A is scalar), so the standard
 substitute pair {scalar curvature, squared gradient of the scalar
@@ -31,7 +31,6 @@ import numpy as np
 from .curvature import (
     CurvaturePoint,
     TensorComponents,
-    _jet_identity,
     _jet_matrix_inverse,
     _require_finite,
     curvature_point,
@@ -99,15 +98,18 @@ def weyl_bivector_operator(
     """The Weyl map on Lambda^2 TM as a C(n,2) x C(n,2) jet matrix.
 
     Row/column labels are index pairs (i < j); the entry at (cd, ab) is
-    g^{ci} g^{dj} W_{ij ab}. Returned as coefficients of shape (m, m, S).
+    g^{ci} g^{dj} W_{ij ab}. Only the pair columns ab are raised, so each
+    contraction runs over n^2 C(n,2) entries, not n^4. Returned as
+    coefficients of shape (m, m, S).
     """
     order = min(w_lower.order, g_inv.order)
     w = w_lower.truncate(order)
     ginv = g_inv.truncate(order).coeffs
-    half = contract(ginv, w.coeffs.transpose(1, 0, 2, 3, 4), w.ctx)  # g^{dj} W_ijab at [d, i, a, b]
-    up2 = contract(ginv, half.transpose(1, 0, 2, 3, 4), w.ctx)  # W^{cd}_{ab}
     first, second = np.triu_indices(w.n, k=1)  # the pairs (i < j)
-    return up2[first, second][:, first, second]
+    cols = w.coeffs[:, :, first, second]  # W_ij(ab) at [i, j, ab]
+    half = contract(ginv, cols.transpose(1, 0, 2, 3), w.ctx)  # g^{dj} W_ij(ab) at [d, i, ab]
+    up2 = contract(ginv, half.transpose(1, 0, 2, 3), w.ctx)  # W^{cd}_(ab)
+    return up2[first, second]
 
 
 def exterior_square(a_mat: np.ndarray, ctx: _JetContext) -> np.ndarray:
@@ -135,6 +137,8 @@ def weyl_traces(curv: CurvaturePoint, order: int) -> tuple[list[str], np.ndarray
     (a+c, b), with a, c <= n. The list is cut at the number of
     independent order-2 invariants beyond the power traces,
     (n+2)(n+1)n(n-3)/12; powers are formed only as far as the cut reaches.
+    A class with a + c = 0 is the diagonal sum of W^b, as `ricci_traces`
+    reads Tr(A^i), so no identity matrix is formed or multiplied.
     """
     n = curv.n
     if n < 3:
@@ -154,18 +158,21 @@ def weyl_traces(curv: CurvaturePoint, order: int) -> tuple[list[str], np.ndarray
         return [], values
     w_op = weyl_bivector_operator(curv.weyl.truncate(w_order), curv.g_inv.truncate(w_order))
     lam = exterior_square(curv.ricci_op.truncate(w_order).coeffs, ctx)
-    w_powers = [w_op]
-    lam_powers = [_jet_identity(n_biv, ctx)]
+    w_powers, lam_powers = [w_op], [lam]  # W^b at b - 1, Lambda^2(A)^s at s - 1
+    diag = np.arange(n_biv)
     labels: list[str] = []
     for i, (s, b) in enumerate(pairs):
         if b > len(w_powers):
             w_powers.append(contract(w_powers[-1], w_op, ctx))
-        if s == len(lam_powers):
+        if s > len(lam_powers):
             lam_powers.append(contract(lam_powers[-1], lam, ctx))
-        pairing = cauchy_product(w_powers[b - 1], lam_powers[s].transpose(1, 0, 2), ctx)
         a = max(0, s - n)
         labels.append(f"J({a},{b},{s - a})")
-        values[i] = pairing.sum(axis=(0, 1))
+        if s == 0:
+            values[i] = w_powers[b - 1][diag, diag].sum(axis=0)
+        else:
+            pairing = cauchy_product(w_powers[b - 1], lam_powers[s - 1].transpose(1, 0, 2), ctx)
+            values[i] = pairing.sum(axis=(0, 1))
     return labels, values
 
 
@@ -207,10 +214,9 @@ def tresse_frame(
         raise SingularFrameError(rank)
     jac_jets = partials(base, _context(n, order)).transpose(1, 0, 2)  # [i, m]
     frame = _jet_matrix_inverse(jac_jets, _context(n, order - 1))
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else float("inf")
     return TresseFrame(
         frame=TensorComponents(("u", "d"), n, order - 1, frame),
-        condition_number=cond,
+        condition_number=float(sv[0] / sv[-1]),
     )
 
 

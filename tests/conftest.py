@@ -26,6 +26,13 @@ def truncate(jet, order) -> Jet:
     return Jet(jet.n_vars, order, jet.c[: _context(jet.n_vars, order).size])
 
 
+def jet_identity(m, ctx) -> np.ndarray:
+    """The m x m identity matrix as constant jets, shape (m, m, S)."""
+    eye = np.zeros((m, m, ctx.size))
+    eye[np.arange(m), np.arange(m), 0] = 1.0
+    return eye
+
+
 def same_jet(a, b) -> bool:
     """Bitwise equality of two jets in the same variables at the same order."""
     return a.ctx is b.ctx and np.array_equal(a.c, b.c)
@@ -83,7 +90,7 @@ g[3,3] = 1
 g[4,4] = 1
 """
 
-_COORD_NAMES = ["x", "y", "z", "w", "v"]
+_COORD_NAMES = ["x", "y", "z", "w", "v", "u"]
 
 
 def flat_metric_text(n: int) -> str:

@@ -11,7 +11,9 @@ import pytest
 
 from metricinv.cli import main
 from metricinv.cli import Report, emit
+from metricinv.curvature import curvature_point
 from metricinv.errors import DomainError
+from metricinv.metriclang import parse_metric
 
 from conftest import PPWAVE, REVOLUTION, SPHERE2
 from conftest import METRICS_DIR
@@ -449,6 +451,34 @@ def test_homogeneity_ignores_overflow_above_a_singular_frame(capsys, tmp_path):
         "--max-order", "3", "--seed", "7",
     )
     assert doc["results"]["homogeneity"] == 3
+
+
+def test_homogeneity_ignores_an_order_4_overflow_above_a_singular_frame(capsys, tmp_path):
+    # A flat 3-metric whose g_11 = exp(2e90*u) has jet coefficients
+    # (2e90)^k / k! * g_11: near u = 0 they are finite up to order 3 and
+    # overflow at order 4. The Tresse-frame test reads order 3 only, finds
+    # rank 0, and the order-4 pass that only the higher invariants need is
+    # never run, so no sample is skipped.
+    text = "dim=3; coords=[u,y,z]; g[1,1]=exp(2e90*u); g[2,2]=1; g[3,3]=1\n"
+    spec = parse_metric(text)
+    point = (5e-93, 0.5, 0.5)
+    curv = curvature_point(spec, point, 3)  # raises DomainError on a non-finite tensor
+    assert np.max(np.abs(curv.g.coeffs)) > 1e269
+    with pytest.raises(DomainError, match="^g has a non-finite jet coefficient"):
+        curvature_point(spec, point, 4)
+    path = tmp_path / "steep_flat3.metric"
+    path.write_text(text)
+    code, out, err = run_cli(
+        capsys, "homogeneity", "--metric", str(path),
+        "--box", "u=0:1e-92,y=0:1,z=0:1", "--samples", "3",
+        "--max-order", "3", "--seed", "7", "--format", "json",
+    )
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["results"]["homogeneity"] == 3
+    assert doc["results"]["consensus_rank"] == 0
+    assert doc["results"]["skipped"] == []
+    assert any(w.startswith("SingularFrame") for w in doc["warnings"])
 
 
 def test_float_round_trip_in_json(capsys, metric_files):

@@ -24,7 +24,7 @@ from metricinv.errors import (
     SingularMetricError,
     UnsupportedDimensionError,
 )
-from metricinv.jets import Jet, _context, contract
+from metricinv.jets import _context, contract
 from metricinv.metriclang import eval_expr, parse_expression, parse_metric
 from metricinv.metriclang import pullback_metric
 
@@ -34,6 +34,7 @@ from conftest import (
     SPHERE2,
     component,
     flat_metric_text,
+    jet_identity,
     partial,
     random_polynomial_metric_text,
 )
@@ -43,11 +44,11 @@ S2_POINT = (1.1, 0.4)
 
 
 def _tensor_from_exprs(texts, coords, point, order):
-    rows = [
-        [eval_expr(parse_expression(text, coords), point, order) for text in row]
+    coeffs = np.array([
+        [eval_expr(parse_expression(text, coords), point, order).c for text in row]
         for row in texts
-    ]
-    return TensorComponents.from_jets(("d", "d"), rows)
+    ])
+    return TensorComponents(("d", "d"), len(texts), order, coeffs)
 
 
 def test_metric_at_euclidean(flat3):
@@ -156,7 +157,7 @@ def test_jet_matrix_inverse_is_the_jet_inverse(n):
         ctx = _context(n, order)
         mat = _jet_matrix(rng, n, order)
         product = contract(mat, curvature._jet_matrix_inverse(mat, ctx), ctx)
-        np.testing.assert_allclose(product, curvature._jet_identity(n, ctx), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(product, jet_identity(n, ctx), rtol=0, atol=1e-14)
 
 
 def test_jet_matrix_inverse_rejects_a_singular_constant_term():
@@ -359,11 +360,7 @@ def test_covariant_derivative_mixed_variance(sphere3):
     gam = christoffel(g, ginv)
     n = 3
     order = gam.order
-    rows = [
-        [Jet.constant(1.0 if i == j else 0.0, n, order + 1) for j in range(n)]
-        for i in range(n)
-    ]
-    ident = TensorComponents.from_jets(("u", "d"), rows)
+    ident = TensorComponents(("u", "d"), n, order + 1, jet_identity(n, _context(n, order + 1)))
     nabla_id = covariant_derivative(ident, gam)
     assert nabla_id.max_abs() < 1e-13
 

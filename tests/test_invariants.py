@@ -30,6 +30,7 @@ from metricinv.symmetry import numerical_rank
 
 from conftest import (
     SCHWARZSCHILD,
+    jet_identity,
     random_curved_metric_text,
     random_polynomial_metric_text,
     same_jet,
@@ -119,7 +120,7 @@ def weyl_operator_trace(a_op, w_lower, g_inv, a, b, c):
     lam = exterior_square(a_op.truncate(order).coeffs, ctx)
 
     def mat_pow(mat, e):
-        out = curvature._jet_identity(mat.shape[0], ctx)
+        out = jet_identity(mat.shape[0], ctx)
         for _ in range(e):
             out = contract(out, mat, ctx)
         return out
@@ -127,6 +128,30 @@ def weyl_operator_trace(a_op, w_lower, g_inv, a, b, c):
     total = contract(contract(mat_pow(lam, a), mat_pow(w_op, b), ctx), mat_pow(lam, c), ctx)
     diag = np.arange(total.shape[0])
     return total[diag, diag].sum(axis=0)
+
+
+def full_raise_bivector_operator(w_lower, g_inv):
+    """The reference for `weyl_bivector_operator`: raise both slots of all
+    n^4 components W_ijab, then keep the pair rows and columns."""
+    order = min(w_lower.order, g_inv.order)
+    w = w_lower.truncate(order)
+    ginv = g_inv.truncate(order).coeffs
+    half = contract(ginv, w.coeffs.transpose(1, 0, 2, 3, 4), w.ctx)
+    up2 = contract(ginv, half.transpose(1, 0, 2, 3, 4), w.ctx)
+    first, second = np.triu_indices(w.n, k=1)
+    return up2[first, second][:, first, second]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_weyl_bivector_operator_is_the_full_raise_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    for order in range(3):
+        size = _context(n, order).size
+        w_lower = TensorComponents(("d",) * 4, n, order, rng.normal(size=(n,) * 4 + (size,)))
+        g_inv = TensorComponents(("u", "u"), n, order, rng.normal(size=(n, n, size)))
+        w_op = weyl_bivector_operator(w_lower, g_inv)
+        assert w_op.shape == (n * (n - 1) // 2,) * 2 + (size,)
+        assert np.array_equal(w_op, full_raise_bivector_operator(w_lower, g_inv))
 
 
 def test_weyl_traces_block_matches_labels_past_the_pair_count():
@@ -149,11 +174,12 @@ def test_weyl_traces_block_matches_labels_past_the_pair_count():
     assert values[-1, 0] == pytest.approx(explicit, rel=1e-8)
 
 
-def test_weyl_trace_cyclic_identity():
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_weyl_trace_cyclic_identity(n):
     # dedup correctness: Tr(L^a W^b L^c) only depends on (a+c, b)
     rng = np.random.default_rng(61)
-    spec = parse_metric(random_polynomial_metric_text(4, rng, scale=0.35))
-    cp = curvature_point(spec, (0.2, -0.1, 0.3, 0.15), 2)
+    spec = parse_metric(random_polynomial_metric_text(n, rng, scale=0.35))
+    cp = curvature_point(spec, (0.2, -0.1, 0.3, 0.15, -0.25, 0.05)[:n], 2)
     args = (cp.ricci_op.truncate(0), cp.weyl.truncate(0), cp.g_inv.truncate(0))
     t121 = weyl_operator_trace(*args, 1, 2, 1)[0]
     t211 = weyl_operator_trace(*args, 2, 2, 0)[0]
@@ -163,7 +189,7 @@ def test_weyl_trace_cyclic_identity():
     assert t121 == pytest.approx(t112, rel=1e-10)
     # every emitted class representative agrees with the explicit product
     labels, values = weyl_traces(cp, 0)
-    assert len(labels) == weyl_trace_count(4)
+    assert len(labels) == weyl_trace_count(n)
     for label, value in zip(labels, values):
         a, b, c = (int(e) for e in label[len("J("):-1].split(","))
         explicit = weyl_operator_trace(*args, a, b, c)[0]
@@ -216,7 +242,7 @@ def test_every_block_is_a_float_array_of_jet_rows(sphere2, sphere3, schwarzschil
 
 def _unit_frame(n, order):
     """Coordinate frame stand-in for metrics whose Tresse frame is singular."""
-    eye = curvature._jet_identity(n, _context(n, order))
+    eye = jet_identity(n, _context(n, order))
     return TresseFrame(frame=TensorComponents(("u", "d"), n, order, eye), condition_number=1.0)
 
 
