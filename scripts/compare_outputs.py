@@ -20,6 +20,11 @@ root's `src/`, and `perfbench/` for the workload inputs:
   `metrics/`: every jet coefficient of every tensor, the scalar
   curvature and each `nabla^s R` included, where the CLI report holds
   the order-0 values only;
+- `homogeneous_test(seed=7)` on every file in `metrics/`, over the
+  `homogeneity` box: the whole `HomogeneityVerdict`;
+- `metric_at(order=3)` on a flat chart whose diagonal scaling overflows
+  (`g_11 = g_22 = 1e-300`, `g_12 = 1e10 (2 + sin x)`): every jet
+  coefficient of g and of its inverse;
 - tower3d ops 0-3 of seeds 11 and 7919: labels, values, Jacobian and
   the full coefficient array of every Jet;
 - survey4d ops 0-39 of seeds 11 and 7919: the whole `RankReport`;
@@ -108,6 +113,11 @@ INLINE_METRICS = {
         ((2, True),),
     ),
 }
+# A regular flat chart on which D^(-1/2) g D^(-1/2), D = |diag g|, overflows.
+OVERFLOW_METRIC = (
+    "dim = 2; coords = [x, y]; signature = [+1, -1];"
+    " g[1,1] = 1e-300; g[2,2] = 1e-300; g[1,2] = 1e10*(2 + sin(x))"
+)
 CURVATURE_FIELDS = (
     "g", "g_inv", "gamma", "riemann_lower", "ricci", "scalar", "ricci_op", "weyl",
 )
@@ -173,6 +183,24 @@ def _curvature_probes(metricinv):
         yield f"curvature_point {name} order 4", run
 
 
+def _verdict_probes(metricinv, cli):
+    for name in sorted(POINTS):
+        spec = metricinv.parse_metric(Path(f"metrics/{name}.metric").read_text())
+        box = cli._parse_box(BOXES[name], spec)
+
+        def run(spec=spec, box=box):
+            return dataclasses.asdict(metricinv.homogeneous_test(spec, box, seed=7))
+
+        yield f"homogeneous_test {name}", run
+
+    def run():
+        spec = metricinv.parse_metric(OVERFLOW_METRIC)
+        g, g_inv = metricinv.curvature.metric_at(spec, (0.3, 0.2), 3)
+        return {"g": _coeffs(g), "g_inv": _coeffs(g_inv)}
+
+    yield "metric_at overflow order 3", run
+
+
 def _coeffs(tensor):
     """Every jet coefficient of a tensor; older checkouts hold the scalar
     curvature as a bare `Jet`, whose coefficients are `c`."""
@@ -234,7 +262,7 @@ def probe(root: Path) -> None:
     import workloads
 
     for name, run in [
-        *_cli_probes(cli), *_curvature_probes(metricinv),
+        *_cli_probes(cli), *_curvature_probes(metricinv), *_verdict_probes(metricinv, cli),
         *_workload_probes(workloads, root), *_inline_probes(metricinv),
     ]:
         try:

@@ -27,7 +27,7 @@ from .counting import (
     s_count,
     series_expand,
 )
-from .curvature import curvature_point
+from .curvature import DEFAULT_FRAME_RTOL, curvature_point
 from .errors import (
     AllPointsSingularError,
     DomainError,
@@ -37,7 +37,7 @@ from .errors import (
     SingularMetricError,
     UnsupportedDimensionError,
 )
-from .invariants import DEFAULT_FRAME_RTOL, invariant_vector
+from .invariants import invariant_vector
 from .metriclang import MetricSpec, parse_metric
 from .symmetry import homogeneity
 

@@ -44,7 +44,21 @@ from .errors import (
 from .jets import _context, _JetContext, cauchy_product, contract, partials
 from .metriclang import MetricSpec, eval_expr
 
-SINGULAR_RTOL = 1e-10
+# The one table of tolerances; every rank verdict is read from `numerical_rank`.
+SINGULAR_RTOL = 1e-10  # metric_at: the scaled g is singular at or below this times sigma_1
+DEFAULT_FRAME_RTOL = 1e-8  # the rank cut of the Tresse frame and the invariant Jacobian
+DEFAULT_FRAME_FLOOR = 1e-10  # rank 0 when sigma_1 is below this absolute floor
+VANISHING_TOL = 1e-8  # homogeneity: invariants vanish below it, the curvature not above it
+
+
+def numerical_rank(
+    singular_values: Sequence[float], rel_tol: float = DEFAULT_FRAME_RTOL
+) -> int:
+    """Count singular values above rel_tol * sigma_1 (0 if sigma_1 is below the floor)."""
+    sv = np.asarray(singular_values, dtype=float)
+    if sv.size == 0 or sv[0] < DEFAULT_FRAME_FLOOR:
+        return 0
+    return int(np.sum(sv > rel_tol * sv[0]))
 
 
 @dataclass(frozen=True)
@@ -135,22 +149,22 @@ def metric_at(
     g = TensorComponents(("d", "d"), n, order, coeffs)
 
     const = g.values()
+    at = tuple(map(float, point))
     if not np.all(np.isfinite(const)):
-        raise DomainError(f"metric component not finite at point {tuple(point)}")
+        raise DomainError(f"metric component not finite at point {at}")
     # D^{-1/2} g D^{-1/2} with D = |diag g| does not change when a coordinate
-    # is rescaled; a null coordinate (g_ii = 0) gives no scale, so fall back to g
-    diag = np.abs(np.diag(const))
-    if np.all(diag > 0):
-        inv_sqrt = 1.0 / np.sqrt(diag)
+    # is rescaled; a null coordinate (g_ii = 0) gives no scale and a tiny D can
+    # overflow it, so either way fall back to g over its largest entry
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        inv_sqrt = 1.0 / np.sqrt(np.abs(np.diag(const)))
         scaled = const * inv_sqrt[:, None] * inv_sqrt[None, :]
-    else:
-        scaled = const / max(float(np.max(np.abs(const))), 1e-300)
+    if not np.all(np.isfinite(scaled)):
+        scaled = const / (np.max(np.abs(const)) or 1.0)
     sv = np.linalg.svd(scaled, compute_uv=False)
-    if not sv[-1] > SINGULAR_RTOL * sv[0]:
+    if numerical_rank(sv, SINGULAR_RTOL) < n:
         raise SingularMetricError(
             f"smallest singular value {sv[-1]:.3e} of the scaled metric is not "
-            f"above {SINGULAR_RTOL:g} times the largest, {sv[0]:.3e}, at point "
-            f"{tuple(point)}"
+            f"above {SINGULAR_RTOL:g} times the largest, {sv[0]:.3e}, at point {at}"
         )
     inv = _jet_matrix_inverse(g.coeffs, g.ctx)
     return g, TensorComponents(("u", "u"), n, order, inv)

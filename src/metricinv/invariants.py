@@ -29,11 +29,13 @@ from typing import Sequence
 import numpy as np
 
 from .curvature import (
+    DEFAULT_FRAME_RTOL,
     CurvaturePoint,
     TensorComponents,
     _jet_matrix_inverse,
     _require_finite,
     curvature_point,
+    numerical_rank,
 )
 from .errors import (
     InsufficientOrderError,
@@ -43,19 +45,6 @@ from .errors import (
 )
 from .jets import Jet, _context, _JetContext, cauchy_product, contract, partials
 from .metriclang import MetricSpec
-
-DEFAULT_FRAME_RTOL = 1e-8
-DEFAULT_FRAME_FLOOR = 1e-10
-
-
-def numerical_rank(
-    singular_values: Sequence[float], rel_tol: float = DEFAULT_FRAME_RTOL
-) -> int:
-    """Count singular values above rel_tol * sigma_1 (0 if all below the floor)."""
-    sv = np.asarray(singular_values, dtype=float)
-    if sv.size == 0 or sv[0] < DEFAULT_FRAME_FLOOR:
-        return 0
-    return int(np.sum(sv > rel_tol * sv[0]))
 
 
 # -- order-2 invariants ----------------------------------------------------------
@@ -134,11 +123,12 @@ def weyl_traces(curv: CurvaturePoint, order: int) -> tuple[list[str], np.ndarray
     which Lambda^2(A)^a Lambda^2(A)^c = Lambda^2(A)^{a+c}; the cyclic
     trace identity then makes the trace depend on (a+c, b) only, so one
     canonical representative with a <= c is emitted per class, ordered by
-    (a+c, b), with a, c <= n. The list is cut at the number of
-    independent order-2 invariants beyond the power traces,
-    (n+2)(n+1)n(n-3)/12; powers are formed only as far as the cut reaches.
-    A class with a + c = 0 is the diagonal sum of W^b, as `ricci_traces`
-    reads Tr(A^i), so no identity matrix is formed or multiplied.
+    (a+c, b), with a, c <= n. Tr(W) is left out, since W is trace-free.
+    The list is cut at the number of independent order-2 invariants beyond
+    the power traces, (n+2)(n+1)n(n-3)/12; powers are formed only as far
+    as the cut reaches. A class with a + c = 0 is the diagonal sum of W^b,
+    as `ricci_traces` reads Tr(A^i), so no identity matrix is formed or
+    multiplied.
     """
     n = curv.n
     if n < 3:
@@ -152,7 +142,7 @@ def weyl_traces(curv: CurvaturePoint, order: int) -> tuple[list[str], np.ndarray
     # so each pair needs at most one more power of either operator. For
     # n >= 13 there are fewer pairs than the cut, and the block is shorter.
     pairs = [(s, b) for s in range(2 * n + 1) for b in range(1, n_biv + 1)]
-    pairs = pairs[: weyl_trace_count(n)]
+    pairs = pairs[1 : 1 + weyl_trace_count(n)]  # (0, 1) is Tr(W) = 0
     values = np.empty((len(pairs), ctx.size))
     if not pairs:  # n = 3
         return [], values

@@ -3,9 +3,10 @@
 A Killing field annihilates every scalar invariant of the metric, so the
 rank m of the invariant Jacobian at generic points bounds the geometry:
 the isometry pseudogroup has regular orbits of dimension n - m. The rank
-is read off numerically from singular values, the consensus over a sample
-of points is the maximum (rank only drops on thin sets), and the verdict
-is downgraded to a necessary condition whenever the input is
+is read off singular values by `numerical_rank`, and the consensus over
+a sample of points is the maximum (rank only drops on thin sets);
+`homogeneous_test` reads constant invariants as consensus rank 0. The
+verdict is downgraded to a necessary condition whenever the input is
 pseudo-Riemannian and all invariants vanish while the curvature does not
 (the stratum where invariants separate nothing).
 """
@@ -22,16 +23,9 @@ from .errors import (
     DomainError,
     SingularMetricError,
 )
-from .invariants import (
-    DEFAULT_FRAME_RTOL,
-    invariant_sample,
-    numerical_rank,
-)
+from .curvature import DEFAULT_FRAME_RTOL, VANISHING_TOL, numerical_rank
+from .invariants import invariant_sample
 from .metriclang import MetricSpec
-
-VANISHING_TOL = 1e-8
-# largest invariant-gradient norm that `homogeneous_test` reads as constant
-HOMOGENEOUS_GRAD_TOL = 1e-7
 
 
 @dataclass(frozen=True)
@@ -189,7 +183,7 @@ def homogeneous_test(
     n_samples: int = 20,
     seed: int = 0,
 ) -> HomogeneityVerdict:
-    """Local homogeneity check: are all invariants constant over the box?
+    """Are all invariants constant over the box, i.e. is their consensus rank 0?
 
     The theoretical bound needs invariants up to derivative order C(n,2),
     i.e. invariant order C(n,2) + 2: 3 for n = 2, more above. The default
@@ -201,7 +195,7 @@ def homogeneous_test(
         spec, box, n_samples=n_samples, max_order=order_bound, seed=seed
     )
     return HomogeneityVerdict(
-        homogeneous=report.gradient_max <= HOMOGENEOUS_GRAD_TOL,
+        homogeneous=report.rank == 0,
         necessary_condition_only=not spec.is_riemannian,
         order_bound=order_bound,
         max_gradient=report.gradient_max,

@@ -22,7 +22,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 import tracing  # noqa: E402
 import workloads  # noqa: E402
-from metricinv import jets  # noqa: E402
+from metricinv import curvature, jets  # noqa: E402
 
 
 @pytest.mark.parametrize("name", list(workloads.WORKLOADS))
@@ -87,6 +87,11 @@ def test_tracer_wraps_and_restores_every_boundary():
         for (owner, attr, _), original in zip(tracing.BOUNDARIES, originals)
     )
     assert {attr: jets.Jet.__dict__[attr] for attr in jet_methods} == jet_methods
+
+
+def test_workloads_read_the_frame_tolerance_of_the_table():
+    # tower3d redraws points whose frame clears it by too little, under this name
+    assert workloads.invariants.DEFAULT_FRAME_RTOL is curvature.DEFAULT_FRAME_RTOL
 
 
 def _first(workload, op):

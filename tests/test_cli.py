@@ -235,6 +235,29 @@ def test_jet_inverse_of_badly_scaled_metrics_exit_0(capsys, tmp_path):
     )
 
 
+def test_regular_metric_whose_diagonal_scaling_overflows_exit_0(capsys, tmp_path):
+    # D^(-1/2) g D^(-1/2) with D = 1e-300 overflows; this flat chart is regular
+    path = tmp_path / "overflow.metric"
+    path.write_text(
+        "dim=2; coords=[x,y]; signature=[+1,-1];"
+        " g[1,1]=1e-300; g[2,2]=1e-300; g[1,2]=1e10*(2 + sin(x))\n"
+    )
+    doc = run_json(
+        capsys, "curvature", "--metric", str(path), "--point", "x=0.3,y=0.2",
+        "--order", "3",
+    )
+    assert doc["results"]["scalar_curvature"] == 0.0
+    assert doc["results"]["g_inv"][0][1] == pytest.approx(
+        1 / (1e10 * (2 + math.sin(0.3))), rel=1e-14
+    )
+    doc = run_json(
+        capsys, "homogeneity", "--metric", str(path), "--box", "x=0:1,y=0:1",
+        "--samples", "3", "--seed", "1",
+    )
+    assert doc["results"]["homogeneity"] == 2
+    assert doc["results"]["skipped"] == []
+
+
 @pytest.mark.parametrize("expr, value", [
     ("1/(1e-200*(2 + sin(x)))", lambda x: 1 / (1e-200 * (2 + math.sin(x)))),
     ("sqrt(1e-200*(2 + sin(x)))", lambda x: math.sqrt(1e-200 * (2 + math.sin(x)))),

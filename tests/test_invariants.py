@@ -167,7 +167,7 @@ def test_weyl_traces_block_matches_labels_past_the_pair_count():
     cp = types.SimpleNamespace(n=n, weyl=w_lower, g_inv=g_inv, ricci_op=a_op)
     labels, values = weyl_traces(cp, 0)
     assert (2 * n + 1) * n_biv < weyl_trace_count(n)
-    assert len(labels) == len(values) == (2 * n + 1) * n_biv
+    assert len(labels) == len(values) == (2 * n + 1) * n_biv - 1  # all but Tr(W)
     assert len(set(labels)) == len(labels)
     a, b, c = (int(e) for e in labels[-1][len("J("):-1].split(","))
     explicit = weyl_operator_trace(a_op, w_lower, g_inv, a, b, c)[0]
@@ -190,6 +190,7 @@ def test_weyl_trace_cyclic_identity(n):
     # every emitted class representative agrees with the explicit product
     labels, values = weyl_traces(cp, 0)
     assert len(labels) == weyl_trace_count(n)
+    assert "J(0,1,0)" not in labels  # Tr(W) = 0: W is trace-free
     for label, value in zip(labels, values):
         a, b, c = (int(e) for e in label[len("J("):-1].split(","))
         explicit = weyl_operator_trace(*args, a, b, c)[0]

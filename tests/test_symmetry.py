@@ -14,7 +14,7 @@ from metricinv.symmetry import (
     numerical_rank,
 )
 
-from conftest import random_curved_metric_text
+from conftest import METRICS_DIR, random_curved_metric_text
 
 BOX2 = [(0.5, 2.5), (0.0, 3.0)]
 BOX2_UPPER = [(-1.0, 1.0), (0.5, 2.5)]
@@ -116,8 +116,10 @@ def test_homogeneity_skips_singular_points():
 
 def test_homogeneity_all_points_singular():
     spec = parse_metric("dim=2; coords=[x,y]; g[1,1]=0; g[2,2]=1")
-    with pytest.raises(AllPointsSingularError):
+    with pytest.raises(AllPointsSingularError) as info:
         homogeneity(spec, [(0.0, 1.0), (0.0, 1.0)], seed=3)
+    # the skipped points are printed as plain floats
+    assert "at point (0." in str(info.value) and "np.float64" not in str(info.value)
 
 
 def test_homogeneity_ppwave_regularity_warning(ppwave):
@@ -183,6 +185,37 @@ def test_homogeneous_test_verdicts(sphere2, hyperbolic2, revolution):
     assert homogeneous_test(sphere2, BOX2, seed=3)
     assert homogeneous_test(hyperbolic2, BOX2_UPPER, seed=3)
     assert not homogeneous_test(revolution, [(0.0, 3.0), (0.0, 3.0)], seed=3)
+
+
+# the sampling boxes of scripts/symmetry_survey.py, inside each chart
+SURVEY_BOXES = {
+    "flat2": [(-1.0, 1.0)] * 2,
+    "flat3": [(-1.0, 1.0)] * 3,
+    "hyperbolic2": BOX2_UPPER,
+    "ppwave": [(-0.5, 0.5), (-1.0, 1.0), (0.5, 1.5), (0.2, 1.2)],
+    "revolution": [(0.0, 3.0), (0.0, 3.0)],
+    "schwarzschild": [(0.0, 1.0), (3.0, 6.0), (0.6, 2.4), (0.0, 3.0)],
+    "sphere2": BOX2,
+    "sphere3": [(0.6, 2.4), (0.6, 2.4), (0.0, 3.0)],
+}
+
+
+def test_homogeneous_test_is_consensus_rank_0():
+    # the revolution metric times 1e8 has rank 1, as unscaled, but invariant
+    # gradients of only about 1e-8
+    cases = [
+        (parse_metric((METRICS_DIR / f"{name}.metric").read_text()), box)
+        for name, box in SURVEY_BOXES.items()
+    ]
+    cases.append((
+        parse_metric("dim=2; coords=[x,y]; g[1,1]=1e8; g[2,2]=1e8*(2 + sin(x))^2"),
+        SURVEY_BOXES["revolution"],
+    ))
+    for seed in (1, 3, 7):
+        for spec, box in cases:
+            report = homogeneity(spec, box, n_samples=20, max_order=3, seed=seed)
+            assert bool(homogeneous_test(spec, box, seed=seed)) == (report.rank == 0)
+    assert homogeneity(*cases[-1], max_order=3, seed=3).rank == 1
 
 
 def test_homogeneous_test_flags_pseudo_riemannian(ppwave):
