@@ -26,7 +26,7 @@ root's `src/`, and `perfbench/` for the workload inputs:
   (`g_11 = g_22 = 1e-300`, `g_12 = 1e10 (2 + sin x)`): every jet
   coefficient of g and of its inverse;
 - tower3d ops 0-3 of seeds 11 and 7919: labels, values, Jacobian and
-  the full coefficient array of every Jet;
+  every jet coefficient of every invariant;
 - survey4d ops 0-39 of seeds 11 and 7919: the whole `RankReport`;
 - on two inline generic metrics with regular Tresse frames, n = 2 and a
   Lorentzian n = 4, `invariant_vector(max_order=3, with_gradients=True)`
@@ -210,11 +210,14 @@ def _coeffs(tensor):
 
 
 def _invariant_doc(iv, with_gradients=True):
+    """Older checkouts hold the values as a tuple of `Jet`s, whose
+    coefficients are `c`, where newer ones hold one (N, S) array."""
+    values = iv.values
     return {
         "labels": list(iv.labels),
         "values": iv.values_array().tolist(),
         "jacobian": iv.jacobian().tolist() if with_gradients else None,
-        "coeffs": [v.c.tolist() for v in iv.values],
+        "coeffs": values.tolist() if hasattr(values, "tolist") else [v.c.tolist() for v in values],
         "warnings": list(iv.warnings),
     }
 

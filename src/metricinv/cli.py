@@ -11,6 +11,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -183,7 +184,7 @@ def cmd_invariants(args) -> Report:
         "max_order": iv.max_order,
         "count": len(iv),
         "labels": list(iv.labels),
-        "values": [v.value for v in iv.values],
+        "values": iv.values_array().tolist(),
     }
     report.warnings.extend(iv.warnings)
     return report
@@ -408,6 +409,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         emit(report, args.format)
     except DomainError as exc:  # a non-finite number, found before anything is written
         return _domain_exit(exc)
+    except BrokenPipeError:  # the reader has gone: what is left, and the flush at exit, go nowhere
+        sys.stdout = open(os.devnull, "w")
     return EXIT_OK
 
 

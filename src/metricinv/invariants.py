@@ -14,9 +14,9 @@ curvature} is used instead; it feeds the same frame machinery.
 Each block of invariants is one `(rows, S)` float array, a row of jet
 coefficients per invariant. Tensors, the bivector operators and the frame
 are dense jet-coefficient arrays too, and every product among them goes
-through `jets.cauchy_product`. `invariant_sample` wraps the rows it emits
-as `Jet`s of order 0 or 1, each a view of its row: order 1 carries the
-invariant's gradient so the symmetry module can assemble Jacobians.
+through `jets.cauchy_product`. `invariant_sample` stacks the blocks into
+one read-only array at jet order 0 or 1: order 1 carries the invariants'
+gradients so the symmetry module can assemble Jacobians.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .errors import (
     SingularFrameError,
     UnsupportedDimensionError,
 )
-from .jets import Jet, _context, _JetContext, cauchy_product, contract, partials
+from .jets import _context, _JetContext, cauchy_product, contract, partials
 from .metriclang import MetricSpec
 
 
@@ -280,13 +280,13 @@ def _higher_labels(n: int, k: int) -> tuple[str, ...]:
 class InvariantVector:
     """Labeled scalar invariants of one metric at one point.
 
-    Values are jets of order 0, or order 1 when gradients were requested.
-    `warnings` records structured degradations (singular Tresse frame on
-    homogeneous metrics) that replace the higher-order blocks.
+    `values` holds a row of jet coefficients per invariant: (N, 1 + n)
+    with gradients, (N, 1) without. `warnings` records degradations (a
+    singular Tresse frame on homogeneous metrics) that replace higher blocks.
     """
 
     labels: tuple[str, ...]
-    values: tuple[Jet, ...]
+    values: np.ndarray
     max_order: int
     warnings: tuple[str, ...] = field(default=())
 
@@ -294,11 +294,13 @@ class InvariantVector:
         return len(self.labels)
 
     def values_array(self) -> np.ndarray:
-        return np.array([v.value for v in self.values])
+        return self.values[:, 0].copy()
 
     def jacobian(self) -> np.ndarray:
         """Gradients row per invariant; requires with_gradients=True."""
-        return np.array([v.gradient() for v in self.values])
+        if self.values.shape[1] == 1:
+            raise InsufficientOrderError("the Jacobian needs invariants with gradients")
+        return self.values[:, 1:].copy()
 
 
 def required_jet_order(n: int, max_order: int, with_gradients: bool) -> int:
@@ -335,7 +337,7 @@ def invariant_sample(
     data returned is that of the gate order.
 
     Each block of invariants stays one coefficient array until the end,
-    where every row emitted becomes a `Jet` whose `c` is a view of it.
+    where the blocks are stacked into the vector's read-only `values`.
     """
     n = spec.dim
     if max_order < 2:
@@ -386,13 +388,9 @@ def invariant_sample(
                     labels.extend(h_labels)
                     blocks.append(h_block)
 
-    iv = InvariantVector(
-        labels=tuple(labels),
-        values=tuple([Jet(n, out_order, row) for block in blocks for row in block]),
-        max_order=max_order,
-        warnings=tuple(warnings),
-    )
-    return iv, curv
+    values = np.concatenate(blocks)
+    values.flags.writeable = False
+    return InvariantVector(tuple(labels), values, max_order, tuple(warnings)), curv
 
 
 def invariant_vector(

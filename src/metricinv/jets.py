@@ -193,12 +193,6 @@ class Jet:
         """Constant term, i.e. the function value at the base point."""
         return float(self.c[0])
 
-    def gradient(self) -> np.ndarray:
-        """First partial derivatives as a vector (requires order >= 1)."""
-        if self.order < 1:
-            raise InsufficientOrderError("gradient needs a jet of order >= 1")
-        return self.c[1 : 1 + self.n_vars].copy()
-
     # -- ring operations ---------------------------------------------------
 
     def _check_compatible(self, other: "Jet"):

@@ -118,6 +118,8 @@ def test_tower3d_check_rejects_wrong_invariants():
     assert inp.affine is not None
     short = dataclasses.replace(iv, labels=iv.labels[:-1], values=iv.values[:-1])
     assert workload.check(inp, (spec, short)) is not None
-    nudged = dataclasses.replace(iv, values=(iv.values[0] * (1 + 1e-7),) + iv.values[1:])
+    values = iv.values.copy()
+    values[0, 0] *= 1 + 1e-7
+    nudged = dataclasses.replace(iv, values=values)
     assert nudged.values_array()[0] != iv.values_array()[0]
     assert "I1" in workload.check(inp, (spec, nudged))

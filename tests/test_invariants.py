@@ -11,20 +11,26 @@ import pytest
 from metricinv import curvature, invariants
 from metricinv.counting import delta_count, s_count, weyl_trace_count
 from metricinv.curvature import TensorComponents, curvature_point
-from metricinv.errors import DomainError, SingularFrameError, UnsupportedDimensionError
+from metricinv.errors import (
+    DomainError,
+    InsufficientOrderError,
+    SingularFrameError,
+    UnsupportedDimensionError,
+)
 from metricinv.invariants import (
     TresseFrame,
     exterior_square,
     higher_invariants,
     invariant_sample,
     invariant_vector,
+    required_jet_order,
     ricci_traces,
     surface_invariant_pair,
     tresse_frame,
     weyl_bivector_operator,
     weyl_traces,
 )
-from metricinv.jets import Jet, _context, contract
+from metricinv.jets import _context, contract
 from metricinv.metriclang import eval_expr, parse_expression, parse_metric, pullback_metric
 from metricinv.symmetry import numerical_rank
 
@@ -33,7 +39,6 @@ from conftest import (
     jet_identity,
     random_curved_metric_text,
     random_polynomial_metric_text,
-    same_jet,
 )
 import sympy_oracle
 
@@ -304,20 +309,27 @@ def regular_frame_point():
 @pytest.mark.parametrize("max_order, with_gradients", [(3, False), (3, True), (4, True)])
 def test_invariant_vector_values_are_views_of_block_rows(max_order, with_gradients):
     spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
-    iv = invariant_vector(spec, (0.3, -0.1, 0.2), max_order, with_gradients)
+    point = (0.3, -0.1, 0.2)
+    iv = invariant_vector(spec, point, max_order, with_gradients)
     assert not iv.warnings
     ctx = _context(3, int(with_gradients))
     # the base invariants, then one block per order k = 3..max_order
     sizes = [3] + [3 ** (k - 2) * 6**4 for k in range(3, max_order + 1)]
     assert len(iv) == sum(sizes)
+    assert isinstance(iv.values, np.ndarray) and iv.values.dtype == np.float64
+    assert iv.values.shape == (sum(sizes), ctx.size)
+    assert not iv.values.flags.writeable
+    order = required_jet_order(3, max_order, with_gradients)
+    cp = curvature_point(spec, point, order, s_max=max_order - 2)
+    base = ricci_traces(cp.ricci_op)
+    frame = tresse_frame(base, cp.ricci_op.order)
+    blocks = [base[:, : ctx.size]] + [
+        higher_invariants(cp, frame, k, with_gradients)[1] for k in range(3, max_order + 1)
+    ]
     start = 0
-    for size in sizes:
+    for size, block in zip(sizes, blocks):
         rows = iv.values[start : start + size]
-        block = rows[0].c.base
-        assert block is not None
-        for v in rows:
-            assert v.ctx is ctx
-            assert v.c.base is block  # a view of its row of one block, not a copy
+        assert rows.tobytes() == block.tobytes()
         start += size
 
 
@@ -345,17 +357,36 @@ def test_higher_invariant_labels_are_built_per_label_and_copied(regular_frame_po
         assert again == expected
 
 
-def test_higher_invariant_jets_behave_as_jets():
+def test_invariant_vector_values_are_read_only():
     spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
     iv = invariant_vector(spec, (0.3, -0.1, 0.2), max_order=3, with_gradients=True)
-    v, w = iv.values[3 + 5], iv.values[3 + 17]
-    with pytest.raises(AttributeError):
-        v.c = np.zeros(4)
-    with pytest.raises(AttributeError):
-        setattr(v, "ctx", w.ctx)
-    v_ref, w_ref = Jet(3, 1, v.c.copy()), Jet(3, 1, w.c.copy())
-    assert same_jet(v, v_ref) and not same_jet(v, w)
-    assert (v * w).c.tobytes() == (v_ref * w_ref).c.tobytes()
+    before = iv.values.copy()
+    with pytest.raises(ValueError):
+        iv.values[3 + 5, 0] = 0.0
+    with pytest.raises(ValueError):
+        iv.values[3 + 17] *= 2.0
+    assert iv.values.tobytes() == before.tobytes()
+
+
+def test_invariant_vector_hands_out_copies():
+    spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
+    iv = invariant_vector(spec, (0.3, -0.1, 0.2), max_order=3, with_gradients=True)
+    before = iv.values.copy()
+    values, jac = iv.values_array(), iv.jacobian()
+    assert values.tobytes() == before[:, 0].tobytes()
+    assert jac.tobytes() == before[:, 1:].tobytes()
+    values[:] = 0.0
+    jac[:] = 0.0
+    assert iv.values.tobytes() == before.tobytes()
+    assert iv.values_array().tobytes() == before[:, 0].tobytes()
+
+
+def test_invariant_vector_without_gradients_has_no_jacobian():
+    spec = parse_metric(random_curved_metric_text(3, np.random.default_rng(111)))
+    iv = invariant_vector(spec, (0.3, -0.1, 0.2), max_order=3)
+    assert iv.values.shape == (len(iv), 1)
+    with pytest.raises(InsufficientOrderError):
+        iv.jacobian()
 
 
 def test_higher_invariants_reject_a_non_finite_block(regular_frame_point):
